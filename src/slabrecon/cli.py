@@ -25,11 +25,10 @@ from .errors import (
 from .fusion import fuse, reconstruct
 from .geometry import RigidTransform
 from .layout import (
-    ContiguousLayout,
     InterleavedLayout,
-    NestedLayout,
     SlabLayout,
     get_preset,
+    layout_from_dict,
     pad_slab,
     prepare_reference,
 )
@@ -43,27 +42,6 @@ from .simulate import MotionScenario, simulate_acquisition
 _USAGE_EXIT = 2
 _REGISTRATION_EXIT = 3
 _DATA_EXIT = 4
-
-
-def layout_from_dict(spec: dict) -> SlabLayout:
-    kind = spec.get("kind")
-    if kind == "interleaved":
-        return InterleavedLayout(
-            slices_per_slab=int(spec["slices_per_slab"]),
-            slabs=int(spec.get("slabs", 2)),
-            slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
-        )
-    if kind == "contiguous":
-        return ContiguousLayout(
-            slices_per_slab=int(spec["slices_per_slab"]),
-            slabs=int(spec.get("slabs", 2)),
-            overlap_slices=int(spec.get("overlap_slices", 1)),
-            slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
-        )
-    if kind == "nested":
-        children = tuple(layout_from_dict(c) for c in spec["children"])
-        return NestedLayout(children, overlap_slices=int(spec.get("overlap_slices", 1)))
-    raise ConfigError(f"unknown layout kind {spec.get('kind')!r}")
 
 
 def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
@@ -81,7 +59,7 @@ def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
 def _load_config(args) -> PipelineConfig:
     file_values = parse_config_file(args.config) if args.config else None
     overrides = {}
-    for key in ("layout", "seed", "threads"):
+    for key in ("layout", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
@@ -164,7 +142,6 @@ def cmd_reconstruct(args) -> int:
             slabs, layout, lr,
             reg_config=config.registration_config(),
             epsilon=config.fusion_epsilon,
-            threads=config.threads,
         )
     except SlabreconError as exc:
         write_json(report_path, run_report(
@@ -258,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--layout", help="layout preset name or JSON layout file")
         p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--threads", type=int, help="worker threads for per-slab registration")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("simulate", help="generate a synthetic multi-slab dataset")

@@ -22,7 +22,6 @@ from .registration import RegistrationConfig
 class PipelineConfig:
     layout: str = "ns_7t_32ch_t2w_interleaved"
     seed: int = 0
-    threads: int = 1
 
     # registration
     bins: int = 64
@@ -35,7 +34,6 @@ class PipelineConfig:
 
     # fusion
     fusion_epsilon: float = 0.05
-    uncovered_warn: float = 0.02
 
     # qc
     shift_threshold: float = 0.15
@@ -52,15 +50,9 @@ class PipelineConfig:
     phantom_fov_mm: list = field(default_factory=lambda: [26.4, 19.2])
 
     def registration_config(self) -> RegistrationConfig:
-        return RegistrationConfig(
-            bins=self.bins,
-            pyramid=tuple(self.pyramid),
-            rotation_step_deg=self.rotation_step_deg,
-            translation_step_factor=self.translation_step_factor,
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            step_halvings=self.step_halvings,
-        )
+        return RegistrationConfig(**{
+            f.name: getattr(self, f.name) for f in dataclasses.fields(RegistrationConfig)
+        })
 
     def scenario_transforms(self, num_slabs: int, center) -> list[RigidTransform]:
         if self.scenario is None:

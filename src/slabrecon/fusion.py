@@ -84,8 +84,7 @@ def fuse(signals: list[Volume], masks: list[Volume],
 
 def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
                 reg_config: RegistrationConfig | None = None,
-                epsilon: float = DEFAULT_EPSILON,
-                threads: int = 1) -> tuple[FusionOutput, list[RegistrationResult]]:
+                epsilon: float = DEFAULT_EPSILON) -> tuple[FusionOutput, list[RegistrationResult]]:
     """Full pipeline: prepare reference, pad, register, reslice, fuse."""
     if len(slabs) != layout.num_slabs:
         raise InvalidInput(
@@ -96,21 +95,12 @@ def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
     reference = prepare_reference(lr, hr_inplane)
     padded = [pad_slab(slab, layout, j) for j, slab in enumerate(slabs)]
 
-    def _register(item):
-        j, pad = item
+    results = []
+    for j, pad in enumerate(padded):
         try:
-            return register_rigid(pad, reference, reg_config)
+            results.append(register_rigid(pad, reference, reg_config))
         except RegistrationFailed as exc:
             raise RegistrationFailed(f"slab {j}: {exc}") from exc
-
-    items = list(enumerate(padded))
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_register, items))
-    else:
-        results = [_register(item) for item in items]
 
     target = padded[0].signal.geometry
     resliced = [apply_result(pad, res, target) for pad, res in zip(padded, results)]

@@ -4,6 +4,11 @@ World coordinates are in millimetres. A grid is described by its voxel
 counts, voxel spacing, the world position of the centre of voxel
 (0, 0, 0) and a 3x3 direction-cosine matrix whose columns are the world
 directions of the voxel axes. The slab-normal (slice) axis is axis 1 (y).
+
+``index_map`` is the one place two grids are related: it composes one
+grid's index-to-world map, a rigid transform and the other grid's
+world-to-index map into a single 3x4 index-to-index matrix, which
+registration, reslicing and resampling all apply to voxel indices.
 """
 
 from __future__ import annotations
@@ -80,6 +85,12 @@ class AffineGeometry:
 
     def with_dims(self, dims) -> "AffineGeometry":
         return AffineGeometry(dims, self.spacing, self.origin, self.axes)
+
+    def with_spacing(self, spacing) -> "AffineGeometry":
+        """The grid over the same extent at ``spacing``: round(n * s / s') voxels
+        per axis, same origin and axes."""
+        dims = tuple(int(round(n * s / t)) for n, s, t in zip(self.dims, self.spacing, spacing))
+        return AffineGeometry(dims, spacing, self.origin, self.axes)
 
     def to_dict(self) -> dict:
         return {
@@ -177,6 +188,22 @@ def invert(t: RigidTransform) -> RigidTransform:
     mat[:3, :3] = rot.T
     mat[:3, 3] = -rot.T @ t.matrix[:3, 3]
     return RigidTransform.from_matrix(mat, center=t.center)
+
+
+def index_map(src: AffineGeometry, transform: RigidTransform,
+              dst: AffineGeometry) -> np.ndarray:
+    """3x4 matrix taking fractional ``src`` indices to fractional ``dst`` indices,
+    i -> dst.world_to_index(transform.apply(src.index_to_world(i))).
+
+    Apply it to (3, N) indices as ``m[:, :3] @ idx + m[:, 3:]``.
+    """
+    to_world = np.eye(4)
+    to_world[:3, :3] = src.axes * np.asarray(src.spacing)
+    to_world[:3, 3] = src.origin
+    to_index = np.eye(4)
+    to_index[:3, :3] = dst.axes.T / np.asarray(dst.spacing)[:, None]
+    to_index[:3, 3] = -to_index[:3, :3] @ np.asarray(dst.origin)
+    return (to_index @ transform.matrix @ to_world)[:3]
 
 
 def transform_deviation(a: RigidTransform, b: RigidTransform, point) -> tuple[float, float]:

@@ -14,8 +14,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InvalidInput, LayoutMismatch
-from .geometry import AffineGeometry
+from .errors import ConfigError, InvalidInput, LayoutMismatch
+from .geometry import AffineGeometry, RigidTransform
 from .volume import InterpolationMethod, Volume, resample
 
 
@@ -198,6 +198,28 @@ class NestedLayout:
 SlabLayout = Union[InterleavedLayout, ContiguousLayout, NestedLayout]
 
 
+def layout_from_dict(spec: dict) -> SlabLayout:
+    """Inverse of the layouts' ``to_dict``; also reads hand-written layout files."""
+    kind = spec.get("kind")
+    if kind == "interleaved":
+        return InterleavedLayout(
+            slices_per_slab=int(spec["slices_per_slab"]),
+            slabs=int(spec.get("slabs", 2)),
+            slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
+        )
+    if kind == "contiguous":
+        return ContiguousLayout(
+            slices_per_slab=int(spec["slices_per_slab"]),
+            slabs=int(spec.get("slabs", 2)),
+            overlap_slices=int(spec.get("overlap_slices", 1)),
+            slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
+        )
+    if kind == "nested":
+        children = tuple(layout_from_dict(c) for c in spec["children"])
+        return NestedLayout(children, overlap_slices=int(spec.get("overlap_slices", 1)))
+    raise ConfigError(f"unknown layout kind {spec.get('kind')!r}")
+
+
 @dataclass(frozen=True)
 class PaddedSlab:
     """A slab expanded to final-stack dimensions plus its 0/1 signal mask."""
@@ -278,15 +300,9 @@ def prepare_reference(lr: Volume, hr_inplane: tuple[float, float]) -> Volume:
     geom = lr.geometry
     if geom.spacing[0] < rx - 1e-9 or geom.spacing[2] < rz - 1e-9:
         raise InvalidInput("LR in-plane spacing must be >= the HR target spacing")
-    nx = int(round(geom.dims[0] * geom.spacing[0] / rx))
-    nz = int(round(geom.dims[2] * geom.spacing[2] / rz))
-    target = AffineGeometry(
-        (nx, geom.dims[1], nz), (rx, geom.spacing[1], rz), geom.origin, geom.axes
-    )
+    target = geom.with_spacing((rx, geom.spacing[1], rz))
     if target.same_grid(geom):
         return lr.copy()
-    from .geometry import RigidTransform
-
     return resample(lr, target, RigidTransform.identity(),
                     InterpolationMethod.CubicBSpline).volume
 

@@ -14,15 +14,16 @@ inputs and config give bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import EmptyOverlap, InvalidInput, RegistrationFailed
-from .geometry import AffineGeometry, RigidTransform, invert
+from .geometry import AffineGeometry, RigidTransform, index_map, invert
 from .layout import PaddedSlab
-from .volume import InterpolationMethod, Volume, resample
+from .volume import InterpolationMethod, Volume, in_field, resample_all
 
 _NMI_SLACK = 1e-9
 
@@ -99,45 +100,10 @@ def joint_histogram(moving: Volume, fixed: Volume, mask: Volume,
     Intensity ranges: min-max of the moving image over masked voxels, and
     of the fixed image over its full grid (the reference carries no mask).
     """
-    if bins < 8:
-        raise InvalidInput("need at least 8 bins")
-    if not mask.geometry.same_grid(moving.geometry, tol=1e-6):
-        raise InvalidInput("moving image and mask must share a grid")
-    sel = mask.data >= 0.5
-    if not sel.any():
-        raise EmptyOverlap("mask selects no voxels")
-    mov_values = moving.data[sel]
-    mov_lo, mov_hi = float(mov_values.min()), float(mov_values.max())
-    fix_lo, fix_hi = fixed.value_range()
-
-    ix, iy, iz = np.nonzero(sel)
-    world = moving.geometry.index_to_world(
-        np.column_stack([ix, iy, iz]).astype(float)
-    )
-    mov_bins = np.rint(_bin_coordinates(mov_values, mov_lo, mov_hi, bins)).astype(np.int64)
-    sampler = _FixedSampler(fixed)
-    fixed_values, in_field = sampler(transform.apply(world))
-    if not in_field.any():
+    h = _MaskedNmiObjective(moving, mask, fixed, bins).histogram(transform)
+    if h is None:
         raise EmptyOverlap("no masked voxel lands inside the fixed image")
-    counts = _accumulate(mov_bins[in_field], fixed_values[in_field],
-                         fix_lo, fix_hi, bins)
-    return JointHistogram(counts, (mov_lo, mov_hi), (fix_lo, fix_hi),
-                          float(counts.sum()))
-
-
-class _FixedSampler:
-    """Trilinear sampling of the fixed image with an in-field indicator."""
-
-    def __init__(self, fixed: Volume):
-        self._geom = fixed.geometry
-        self._data = fixed.data
-        self._hi = np.asarray(fixed.dims, dtype=float) - 0.5
-
-    def __call__(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = self._geom.world_to_index(points)
-        in_field = np.all((idx >= -0.5) & (idx <= self._hi), axis=1)
-        values = ndimage.map_coordinates(self._data, idx.T, order=1, mode="nearest")
-        return values, in_field
+    return h
 
 
 @dataclass(frozen=True)
@@ -156,17 +122,6 @@ class RegistrationConfig:
         if len(self.pyramid) < 1 or any(s < 1 for s in self.pyramid):
             raise InvalidInput("pyramid strides must be >= 1")
         object.__setattr__(self, "pyramid", tuple(int(s) for s in self.pyramid))
-
-    def to_dict(self) -> dict:
-        return {
-            "bins": self.bins,
-            "pyramid": list(self.pyramid),
-            "rotation_step_deg": self.rotation_step_deg,
-            "translation_step_factor": self.translation_step_factor,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "step_halvings": self.step_halvings,
-        }
 
 
 @dataclass(frozen=True)
@@ -192,34 +147,69 @@ class RegistrationResult:
 
 
 class _MaskedNmiObjective:
-    """NMI of the masked moving voxels against the transformed-out reference."""
+    """NMI of the masked moving voxels against the fixed image read at their
+    transformed positions.
 
-    def __init__(self, signal: Volume, mask: Volume, fixed: Volume,
-                 stride: int, bins: int, mov_range, fix_range):
-        sel = mask.data[::stride, :, ::stride] >= 0.5
+    Owns the sample setup shared by ``joint_histogram`` and the registration
+    search: the mask selection, the moving range (over all masked voxels),
+    the fixed range (over its full grid), the moving bin of each sample and
+    the in-plane stride subset (``at_stride``).
+    """
+
+    def __init__(self, moving: Volume, mask: Volume, fixed: Volume, bins: int):
+        if bins < 8:
+            raise InvalidInput("need at least 8 bins")
+        if not mask.geometry.same_grid(moving.geometry, tol=1e-6):
+            raise InvalidInput("moving image and mask must share a grid")
+        sel = mask.data >= 0.5
         if not sel.any():
-            raise EmptyOverlap(f"mask empty at sampling stride {stride}")
-        ix, iy, iz = np.nonzero(sel)
-        idx = np.column_stack([ix * stride, iy, iz * stride]).astype(float)
-        self.world = signal.geometry.index_to_world(idx)
-        values = signal.data[::stride, :, ::stride][sel]
+            raise EmptyOverlap("mask selects no voxels")
+        values = moving.data[sel]
+        self.moving_range = (float(values.min()), float(values.max()))
+        self.fixed_range = fixed.value_range()
         self.mov_bins = np.rint(
-            _bin_coordinates(values, mov_range[0], mov_range[1], bins)
+            _bin_coordinates(values, *self.moving_range, bins)
         ).astype(np.int64)
+        self.index = np.array(np.nonzero(sel), dtype=float)  # (3, N) moving voxel indices
+        self.moving_geometry = moving.geometry
+        self.fixed = fixed
         self.bins = bins
-        self.fix_range = fix_range
-        self.sampler = _FixedSampler(fixed)
-        self.n_samples = int(sel.sum())
+
+    @property
+    def n_samples(self) -> int:
+        return self.index.shape[1]
+
+    def at_stride(self, stride: int) -> "_MaskedNmiObjective":
+        """The samples on every ``stride``-th voxel along x and z."""
+        keep = (self.index[0] % stride == 0) & (self.index[2] % stride == 0)
+        if not keep.any():
+            raise EmptyOverlap(f"mask empty at sampling stride {stride}")
+        subset = copy.copy(self)
+        subset.index = self.index[:, keep]
+        subset.mov_bins = self.mov_bins[keep]
+        return subset
+
+    def histogram(self, transform: RigidTransform) -> JointHistogram | None:
+        """Joint histogram at ``transform``; None when no sample lands in-field."""
+        m = index_map(self.moving_geometry, transform, self.fixed.geometry)
+        idx = m[:, :3] @ self.index + m[:, 3:]
+        inside = in_field(idx, self.fixed.dims)
+        if not inside.any():
+            return None
+        # "nearest", unlike the mirror mode of resampling: the two differ in
+        # the outer half-voxel band, and the NMI values depend on it
+        fixed_values = ndimage.map_coordinates(
+            self.fixed.data, idx[:, inside], order=1, mode="nearest"
+        )
+        counts = _accumulate(self.mov_bins[inside], fixed_values,
+                             *self.fixed_range, self.bins)
+        return JointHistogram(counts, self.moving_range, self.fixed_range,
+                              float(counts.sum()))
 
     def __call__(self, transform: RigidTransform) -> float:
         """Returns NMI, or -inf when no masked voxel lands in-field."""
-        fixed_values, in_field = self.sampler(transform.apply(self.world))
-        if not in_field.any():
-            return -np.inf
-        counts = _accumulate(self.mov_bins[in_field], fixed_values[in_field],
-                             self.fix_range[0], self.fix_range[1], self.bins)
-        h = JointHistogram(counts, (0.0, 1.0), self.fix_range, float(counts.sum()))
-        return nmi(h)
+        h = self.histogram(transform)
+        return -np.inf if h is None else nmi(h)
 
 
 def _params_to_transform(params: np.ndarray, center) -> RigidTransform:
@@ -283,47 +273,31 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
     (see apply_result).
     """
     config = config or RegistrationConfig()
-    signal, mask = padded.signal, padded.mask
-    sel = mask.data >= 0.5
-    if not sel.any():
-        raise RegistrationFailed(EmptyOverlap("padded slab mask is empty"))
-    mov_values = signal.data[sel]
-    mov_range = (float(mov_values.min()), float(mov_values.max()))
-    fix_range = reference.value_range()
+    try:
+        samples = _MaskedNmiObjective(padded.signal, padded.mask, reference, config.bins)
+        levels = [samples.at_stride(stride) for stride in config.pyramid]
+    except EmptyOverlap as exc:
+        raise RegistrationFailed(str(exc)) from exc
     # Rotations pivot about the masked-region centroid: for one-sided slabs
     # (contiguous blocks) a volume-centred pivot makes rotation steps act
     # like translations over the mask and the coordinate search stalls.
-    ix, iy, iz = np.nonzero(sel)
-    centroid_idx = np.array([ix.mean(), iy.mean(), iz.mean()])
-    center = tuple(signal.geometry.index_to_world(centroid_idx)[0])
+    geometry = padded.signal.geometry
+    center = tuple(geometry.index_to_world(samples.index.mean(axis=1))[0])
 
-    trans_step = config.translation_step_factor * signal.geometry.spacing[0]
+    trans_step = config.translation_step_factor * geometry.spacing[0]
     rot_step = np.radians(config.rotation_step_deg)
     steps = np.array([trans_step] * 3 + [rot_step] * 3)
 
     params = np.zeros(6)
     trace = []
     final_value = None
-    masked_voxels = 0
-    for stride in config.pyramid:
-        try:
-            objective_data = _MaskedNmiObjective(
-                signal, mask, reference, stride, config.bins, mov_range, fix_range
-            )
-        except EmptyOverlap as exc:
-            raise RegistrationFailed(str(exc)) from exc
-        masked_voxels = objective_data.n_samples
-        level_steps = steps * stride
-
+    for stride, objective_data in zip(config.pyramid, levels):
         def objective(p):
             return objective_data(_params_to_transform(p, center))
 
-        try:
-            params, final_value, level_trace = _compass_search(
-                objective, params, level_steps, config
-            )
-        except RegistrationFailed:
-            raise
+        params, final_value, level_trace = _compass_search(
+            objective, params, steps * stride, config
+        )
         trace.append((stride, tuple(level_trace)))
 
     if final_value is None or not np.isfinite(final_value):
@@ -332,7 +306,7 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
         transform=_params_to_transform(params, center),
         final_nmi=float(final_value),
         trace=tuple(trace),
-        masked_voxels=masked_voxels,
+        masked_voxels=levels[-1].n_samples,
     )
 
 
@@ -348,11 +322,6 @@ def apply_result(padded: PaddedSlab, result: RegistrationResult,
     is unusable here: on null-slice combs its coefficients ring and the
     signal/mask reads no longer cancel.
     """
-    pull = invert(result.transform)
-    signal = resample(
-        padded.signal, reference_geometry, pull, InterpolationMethod.Trilinear
-    ).volume
-    mask = resample(
-        padded.mask, reference_geometry, pull, InterpolationMethod.Trilinear
-    ).volume
-    return signal, mask
+    signal, mask = resample_all([padded.signal, padded.mask], reference_geometry,
+                                invert(result.transform), InterpolationMethod.Trilinear)
+    return signal.volume, mask.volume

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, LayoutMismatch
-from .geometry import AffineGeometry, RigidTransform, invert
+from .geometry import RigidTransform, invert
 from .layout import SlabLayout, split_volume
 from .volume import InterpolationMethod, Volume, resample
 
@@ -116,14 +116,6 @@ def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
     return volume.with_data(np.sqrt((volume.data + n1) ** 2 + n2 ** 2))
 
 
-def _lr_geometry(truth: AffineGeometry, lr_spacing) -> AffineGeometry:
-    sx, sy, sz = lr_spacing
-    nx = int(round(truth.dims[0] * truth.spacing[0] / sx))
-    nz = int(round(truth.dims[2] * truth.spacing[2] / sz))
-    ny = int(round(truth.dims[1] * truth.spacing[1] / sy))
-    return AffineGeometry((nx, ny, nz), (sx, sy, sz), truth.origin, truth.axes)
-
-
 def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScenario,
                          lr_spacing=None, seed: int = 0,
                          rois: dict | None = None) -> SimulatedDataset:
@@ -164,7 +156,7 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
     if lr_spacing is None:
         g = truth.geometry
         lr_spacing = (g.spacing[0], g.spacing[1], 2.0 * g.spacing[2])
-    lr_geom = _lr_geometry(truth.geometry, lr_spacing)
+    lr_geom = truth.geometry.with_spacing(lr_spacing)
     lr_transform = scenario.lr_transform or RigidTransform.identity()
     lr = resample(
         truth, lr_geom,

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidInput
-from .geometry import AffineGeometry, RigidTransform
+from .geometry import AffineGeometry, RigidTransform, index_map
 
 
 class InterpolationMethod(enum.Enum):
@@ -87,6 +87,12 @@ class ResampleResult:
         return self.volume.geometry.n_voxels - self.in_field_count
 
 
+def in_field(idx: np.ndarray, dims) -> np.ndarray:
+    """Which fractional voxel indices (3, N) lie in the hull ``[-0.5, n - 0.5]``."""
+    hi = np.asarray(dims, dtype=float)[:, None] - 0.5
+    return np.all((idx >= -0.5) & (idx <= hi), axis=0)
+
+
 def _interpolate_at_indices(volume: Volume, idx: np.ndarray,
                             method: InterpolationMethod) -> np.ndarray:
     """Interpolate at fractional voxel indices (3, N). Caller handles field tests.
@@ -103,6 +109,18 @@ def _interpolate_at_indices(volume: Volume, idx: np.ndarray,
     )
 
 
+def _sample_indices(volume: Volume, idx: np.ndarray, method: InterpolationMethod,
+                    out_value: float, extend: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolate at fractional voxel indices (3, N); returns (values, in_field)."""
+    inside = in_field(idx, volume.dims)
+    if extend:
+        return _interpolate_at_indices(volume, idx, method), inside
+    values = np.full(idx.shape[1], float(out_value))
+    if inside.any():
+        values[inside] = _interpolate_at_indices(volume, idx[:, inside], method)
+    return values, inside
+
+
 def sample_many(volume: Volume, points, method: InterpolationMethod,
                 out_value: float = 0.0, extend: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Interpolate at (N, 3) world points.
@@ -115,15 +133,8 @@ def sample_many(volume: Volume, points, method: InterpolationMethod,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise InvalidInput("sample points must be finite")
-    idx = volume.geometry.world_to_index(pts)
-    dims = np.asarray(volume.dims, dtype=float)
-    in_field = np.all((idx >= -0.5) & (idx <= dims - 0.5), axis=1)
-    if extend:
-        return _interpolate_at_indices(volume, idx.T, method), in_field
-    values = np.full(len(pts), float(out_value))
-    if in_field.any():
-        values[in_field] = _interpolate_at_indices(volume, idx[in_field].T, method)
-    return values, in_field
+    idx = volume.geometry.world_to_index(pts).T
+    return _sample_indices(volume, idx, method, out_value, extend)
 
 
 def sample(volume: Volume, point, method: InterpolationMethod,
@@ -141,18 +152,26 @@ def resample(volume: Volume, target: AffineGeometry, transform: RigidTransform,
     Out-of-field voxels are filled with ``out_value`` (default 0.0), or by
     mirror continuation of the volume when ``extend`` is set.
     """
+    return resample_all([volume], target, transform, method, out_value, extend)[0]
+
+
+def resample_all(volumes, target: AffineGeometry, transform: RigidTransform,
+                 method: InterpolationMethod, out_value: float = 0.0,
+                 extend: bool = False) -> list[ResampleResult]:
+    """``resample`` of several volumes on one grid, mapping the target grid once."""
     if any(d < 1 for d in target.dims):
         raise InvalidInput("degenerate target geometry")
-    if transform.is_identity() and target.same_grid(volume.geometry):
-        return ResampleResult(volume.copy(), target.n_voxels)
+    source = volumes[0].geometry
+    if any(not v.geometry.same_grid(source) for v in volumes[1:]):
+        raise InvalidInput("volumes resampled together must share a grid")
+    if transform.is_identity() and target.same_grid(source):
+        return [ResampleResult(v.copy(), target.n_voxels) for v in volumes]
 
-    nx, ny, nz = target.dims
-    ix, iy, iz = np.meshgrid(
-        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
-    )
-    grid = np.column_stack([ix.ravel(), iy.ravel(), iz.ravel()]).astype(float)
-    world = target.index_to_world(grid)
-    values, in_field = sample_many(volume, transform.apply(world), method,
-                                   out_value, extend=extend)
-    out = Volume(target, values.reshape(target.dims))
-    return ResampleResult(out, int(in_field.sum()))
+    m = index_map(target, transform, source)
+    idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
+    results = []
+    for volume in volumes:
+        values, inside = _sample_indices(volume, idx, method, out_value, extend)
+        results.append(ResampleResult(Volume(target, values.reshape(target.dims)),
+                                      int(inside.sum())))
+    return results

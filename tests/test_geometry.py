@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slabrecon import AffineGeometry, InvalidInput, RigidTransform, compose, invert, transform_deviation
+from slabrecon.geometry import index_map
 
 angles = st.floats(-np.radians(10), np.radians(10))
 shifts = st.floats(-5.0, 5.0)
@@ -103,3 +104,30 @@ def test_geometry_world_round_trip():
     g = AffineGeometry((5, 6, 7), (0.3, 1.2, 0.3), (2.0, -1.0, 4.0), axes)
     idx = np.array([[0, 0, 0], [4, 5, 6], [1.5, 2.25, 3.75]])
     assert np.abs(g.world_to_index(g.index_to_world(idx)) - idx).max() <= 1e-10
+
+
+def oblique_geometry(rot, spacing, origin):
+    axes = RigidTransform(rotation=rot).matrix[:3, :3]
+    return AffineGeometry((9, 7, 11), spacing, origin, axes)
+
+
+spacings = st.tuples(*[st.floats(0.2, 2.5)] * 3)
+origins = st.tuples(*[st.floats(-50.0, 50.0)] * 3)
+all_angles = st.tuples(*[st.floats(-np.pi, np.pi)] * 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(src_rot=all_angles, dst_rot=all_angles, src_spacing=spacings,
+       dst_spacing=spacings, src_origin=origins, dst_origin=origins,
+       rot=st.tuples(angles, angles, angles), trans=st.tuples(shifts, shifts, shifts),
+       seed=st.integers(0, 2**32 - 1))
+def test_index_map_matches_world_chain(src_rot, dst_rot, src_spacing, dst_spacing,
+                                       src_origin, dst_origin, rot, trans, seed):
+    src = oblique_geometry(src_rot, src_spacing, src_origin)
+    dst = oblique_geometry(dst_rot, dst_spacing, dst_origin)
+    t = make_transform(rot, trans)
+    idx = np.random.default_rng(seed).uniform(-2.0, 12.0, size=(3, 200))
+    m = index_map(src, t, dst)
+    expected = dst.world_to_index(t.apply(src.index_to_world(idx.T))).T
+    assert m.shape == (3, 4)
+    assert np.abs(m[:, :3] @ idx + m[:, 3:] - expected).max() <= 1e-9

@@ -17,6 +17,7 @@ from slabrecon import (
     prepare_reference,
     split_volume,
 )
+from slabrecon.layout import layout_from_dict
 
 
 def stack_volume(layout, seed=0, nx=6, nz=5):
@@ -276,3 +277,9 @@ def test_expected_preset_names_exist():
 def test_unknown_preset_rejected():
     with pytest.raises(InvalidInput):
         get_preset("nope")
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_layout_from_dict_inverts_to_dict(name):
+    layout = PRESETS[name].build_layout()
+    assert layout_from_dict(layout.to_dict()) == layout
