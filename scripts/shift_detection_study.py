@@ -63,9 +63,10 @@ def main():
     none_m, _ = rows["no-shift"]
     shift_m, _ = rows["1-slice shift"]
     separation = shift_m.mean() - none_m.mean()
-    spread = max(none_m.std(), 1e-12)
-    print(f"regime separation: {separation:.4f} "
-          f"({separation / spread:.1f}x the no-shift spread)")
+    spread = none_m.std()
+    ratio = (f"{separation / spread:.1f}x the no-shift spread" if spread > 0
+             else "the no-shift margins do not spread")
+    print(f"regime separation: {separation:.4f} ({ratio})")
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")
 
 

@@ -22,7 +22,7 @@ from .errors import (
     RegistrationFailed,
     SlabreconError,
 )
-from .fusion import fuse, reconstruct
+from .fusion import reconstruct
 from .geometry import RigidTransform
 from .layout import (
     InterleavedLayout,
@@ -196,16 +196,14 @@ def cmd_qc(args) -> int:
     shift = None
     if args.layout is not None:
         layout, _ = resolve_layout(config.layout)
-        target = volume
+        stack = volume
         if args.coverage is not None:
             coverage = read_volume(args.coverage)
-            from .fusion import FusionOutput  # local import to keep startup light
-
-            mask_sum = coverage  # coverage doubles as weight for reporting only
-            target = FusionOutput(volume, mask_sum, coverage,
-                                  1.0 - float(coverage.data.mean()))
+            if not coverage.geometry.same_grid(volume.geometry, tol=1e-6):
+                raise InvalidInput("coverage map and volume must share one grid")
+            stack = volume.with_data(np.where(coverage.data >= 0.5, volume.data, 0.0))
         shift = shift_index(
-            target, layout,
+            stack, layout,
             threshold=config.shift_threshold,
             foreground_fraction=config.foreground_fraction,
         )
@@ -258,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--volume", required=True, help="volume to evaluate")
     p.add_argument("--rois", required=True, help="ROI sidecar JSON")
-    p.add_argument("--coverage", help="coverage map volume (optional)")
+    p.add_argument("--coverage",
+                   help="coverage map volume; the shift index ignores voxels where it is < 0.5")
     p.set_defaults(func=cmd_qc)
     return parser
 

@@ -83,13 +83,11 @@ class AffineGeometry:
             and np.allclose(self.axes, other.axes, atol=tol)
         )
 
-    def with_dims(self, dims) -> "AffineGeometry":
-        return AffineGeometry(dims, self.spacing, self.origin, self.axes)
-
     def with_spacing(self, spacing) -> "AffineGeometry":
-        """The grid over the same extent at ``spacing``: round(n * s / s') voxels
-        per axis, same origin and axes."""
-        dims = tuple(int(round(n * s / t)) for n, s, t in zip(self.dims, self.spacing, spacing))
+        """The grid over the same extent at ``spacing``: n * s / s' voxels per
+        axis, exact halves rounded up, same origin and axes."""
+        dims = tuple(int(np.floor(n * s / t + 0.5))
+                     for n, s, t in zip(self.dims, self.spacing, spacing))
         return AffineGeometry(dims, spacing, self.origin, self.axes)
 
     def to_dict(self) -> dict:

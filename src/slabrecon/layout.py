@@ -47,10 +47,6 @@ class InterleavedLayout:
     def final_slices(self) -> int:
         return self.slabs * self.slices_per_slab
 
-    @property
-    def gap_mm(self) -> float:
-        return (self.slabs - 1) * self.slice_thickness_mm
-
     def owned_slices(self, slab_index: int) -> np.ndarray:
         self._check_index(slab_index)
         return np.arange(slab_index, self.final_slices, self.slabs)
@@ -302,7 +298,7 @@ def prepare_reference(lr: Volume, hr_inplane: tuple[float, float]) -> Volume:
         raise InvalidInput("LR in-plane spacing must be >= the HR target spacing")
     target = geom.with_spacing((rx, geom.spacing[1], rz))
     if target.same_grid(geom):
-        return lr.copy()
+        return lr
     return resample(lr, target, RigidTransform.identity(),
                     InterpolationMethod.CubicBSpline).volume
 

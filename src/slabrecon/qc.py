@@ -6,7 +6,9 @@ The redundancy index compares how similar consecutive slices from
 consecutive slices of the *same* slab are (rho0, pairs (j, j+K)). A
 between-slab shift of one slice thickness makes cross-slab neighbours
 near-identical while leaving same-slab similarity untouched, so
-rho - rho0 jumps; the report flags when it exceeds a threshold.
+rho - rho0 jumps; the report flags when it exceeds a threshold. It reads
+one stack on the final slice grid: the summed padded slabs before
+registration, or a fused volume after it.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInput, EmptyROI, InvalidInput, LayoutMismatch
-from .layout import InterleavedLayout, PaddedSlab, SlabLayout
+from .layout import InterleavedLayout, SlabLayout
 from .volume import Volume
 
 MOTION_RATING_LEVELS = ("none", "medium", "large")
+# fewest voxels a slice pair must share for its correlation to count
+_MIN_REGION = 32
 
 
 @dataclass(frozen=True)
@@ -170,33 +174,23 @@ def _ncc(a: np.ndarray, b: np.ndarray) -> float | None:
     return float((a * b).sum() / denom)
 
 
-def _slices_and_coverage(obj):
-    if isinstance(obj, Volume):
-        return obj.data, np.ones(obj.dims, dtype=bool)
-    if isinstance(obj, (tuple, list)) and all(isinstance(p, PaddedSlab) for p in obj):
-        data = sum(p.signal.data for p in obj)
-        cover = sum(p.mask.data for p in obj) >= 0.5
-        return data, cover
-    # fusion output: duck-typed to avoid importing the fusion module
-    if hasattr(obj, "fused") and hasattr(obj, "coverage_map"):
-        return obj.fused.data, obj.coverage_map.data >= 0.5
-    raise InvalidInput(
-        "shift_index expects a Volume, a FusionOutput, or a sequence of PaddedSlab"
-    )
-
-
-def shift_index(obj, layout: SlabLayout, threshold: float = 0.15,
-                foreground_fraction: float = 0.2, min_region: int = 32) -> ShiftReport:
+def shift_index(stack, layout: SlabLayout, threshold: float = 0.15,
+                foreground_fraction: float = 0.2) -> ShiftReport:
     """Slice-redundancy index over an interleaved stack.
 
-    Correlations are computed per neighbouring slice pair on the
-    intersection of both slices' coverage and foreground (values above
-    ``foreground_fraction`` of the volume maximum, which makes the index
-    invariant to global intensity scaling).
+    ``stack`` is a Volume on the final slice grid, or the padded slabs,
+    whose signals are summed into one. Correlations are computed per
+    neighbouring slice pair on the voxels that are foreground in both
+    slices (values above ``foreground_fraction`` of the volume maximum,
+    which makes the index invariant to global intensity scaling). Every
+    stack the pipeline makes is zero outside its coverage, and a zero is
+    never foreground, so uncovered voxels never enter a correlation.
     """
     if not isinstance(layout, InterleavedLayout):
         raise LayoutMismatch("shift index is defined for interleaved layouts only")
-    data, cover = _slices_and_coverage(obj)
+    if foreground_fraction < 0:
+        raise InvalidInput("foreground_fraction must be >= 0")
+    data = stack.data if isinstance(stack, Volume) else sum(p.signal.data for p in stack)
     n_slices = data.shape[1]
     if n_slices != layout.final_slices:
         raise LayoutMismatch(
@@ -211,10 +205,8 @@ def shift_index(obj, layout: SlabLayout, threshold: float = 0.15,
     fg = np.abs(data) > foreground_fraction * peak
 
     def pair_ncc(j, step):
-        a_ok = cover[:, j, :] & fg[:, j, :]
-        b_ok = cover[:, j + step, :] & fg[:, j + step, :]
-        region = a_ok & b_ok
-        if region.sum() < min_region:
+        region = fg[:, j, :] & fg[:, j + step, :]
+        if region.sum() < _MIN_REGION:
             return None
         return _ncc(data[:, j, :][region], data[:, j + step, :][region])
 

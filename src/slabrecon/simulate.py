@@ -47,7 +47,6 @@ class MotionScenario:
 
     transforms: tuple
     noise_sigma_pct: float = 0.0
-    lr_transform: RigidTransform | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "transforms", tuple(self.transforms))
@@ -80,7 +79,6 @@ class MotionScenario:
             "realistic": self.realistic,
             "labels": self.labels(),
             "transforms": [t.to_dict() for t in self.transforms],
-            "lr_transform": None if self.lr_transform is None else self.lr_transform.to_dict(),
         }
 
     @staticmethod
@@ -109,7 +107,7 @@ def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
     if sigma < 0:
         raise InvalidInput("sigma must be >= 0")
     if sigma == 0:
-        return volume.copy()
+        return volume
     rng = np.random.default_rng(seed)
     n1 = rng.standard_normal(volume.dims) * sigma
     n2 = rng.standard_normal(volume.dims) * sigma
@@ -157,12 +155,8 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
         g = truth.geometry
         lr_spacing = (g.spacing[0], g.spacing[1], 2.0 * g.spacing[2])
     lr_geom = truth.geometry.with_spacing(lr_spacing)
-    lr_transform = scenario.lr_transform or RigidTransform.identity()
-    lr = resample(
-        truth, lr_geom,
-        invert(lr_transform) if not lr_transform.is_identity() else RigidTransform.identity(),
-        InterpolationMethod.CubicBSpline, extend=True,
-    ).volume
+    lr = resample(truth, lr_geom, RigidTransform.identity(),
+                  InterpolationMethod.CubicBSpline, extend=True).volume
     lr = lr.with_data(np.abs(lr.data))
     lr = rician_noise(lr, sigma, seed=_derive_seed(seed, 1000))
 

@@ -62,9 +62,6 @@ class Volume:
     def with_data(self, data) -> "Volume":
         return Volume(self.geometry, data)
 
-    def copy(self) -> "Volume":
-        return Volume(self.geometry, self.data.copy())
-
     def value_range(self) -> tuple[float, float]:
         return float(self.data.min()), float(self.data.max())
 
@@ -81,10 +78,6 @@ class Volume:
 class ResampleResult:
     volume: Volume
     in_field_count: int
-
-    @property
-    def out_of_field_count(self) -> int:
-        return self.volume.geometry.n_voxels - self.in_field_count
 
 
 def in_field(idx: np.ndarray, dims) -> np.ndarray:
@@ -165,7 +158,7 @@ def resample_all(volumes, target: AffineGeometry, transform: RigidTransform,
     if any(not v.geometry.same_grid(source) for v in volumes[1:]):
         raise InvalidInput("volumes resampled together must share a grid")
     if transform.is_identity() and target.same_grid(source):
-        return [ResampleResult(v.copy(), target.n_voxels) for v in volumes]
+        return [ResampleResult(v, target.n_voxels) for v in volumes]
 
     m = index_map(target, transform, source)
     idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]

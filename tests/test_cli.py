@@ -63,6 +63,32 @@ def test_qc_report(pipeline_dirs):
     assert set(payload["qc"]["rois"]) == {"GM", "WM", "BG"}
 
 
+def _qc_shift(sim, rec, out, *extra):
+    code = main([
+        "qc", "--layout", "ns_7t_32ch_t2w_interleaved",
+        "--volume", str(rec / "fused.nii.gz"), "--rois", str(sim / "rois.json"),
+        "--out", str(out), *extra,
+    ])
+    return code, (read_json(out / "qc.json")["qc"]["shift"] if code == 0 else None)
+
+
+def test_qc_shift_block_same_with_and_without_coverage(pipeline_dirs, tmp_path):
+    sim, rec, _ = pipeline_dirs
+    code, plain = _qc_shift(sim, rec, tmp_path / "plain")
+    assert code == 0
+    assert plain["rho"] is not None and plain["flag"] is False
+    code, covered = _qc_shift(sim, rec, tmp_path / "covered",
+                              "--coverage", str(rec / "coverage.nii.gz"))
+    assert code == 0
+    assert covered == plain
+
+
+def test_qc_coverage_on_another_grid_is_data_error(pipeline_dirs, tmp_path):
+    sim, rec, _ = pipeline_dirs
+    code, _ = _qc_shift(sim, rec, tmp_path / "qc", "--coverage", str(sim / "lr.nii.gz"))
+    assert code == 4
+
+
 def test_missing_lr_is_usage_error(capsys, tmp_path):
     code = main(["reconstruct", "--slabs", "a.nii", "--out", str(tmp_path)])
     captured = capsys.readouterr()

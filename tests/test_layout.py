@@ -9,15 +9,21 @@ from slabrecon import (
     InterleavedLayout,
     InvalidInput,
     LayoutMismatch,
+    MotionScenario,
     NestedLayout,
     PRESETS,
+    RigidTransform,
     Volume,
     get_preset,
     pad_slab,
+    phantom_geometry,
     prepare_reference,
+    simulate_acquisition,
     split_volume,
 )
+from slabrecon.geometry import index_map
 from slabrecon.layout import layout_from_dict
+from slabrecon.volume import in_field
 
 
 def stack_volume(layout, seed=0, nx=6, nz=5):
@@ -283,3 +289,19 @@ def test_unknown_preset_rejected():
 def test_layout_from_dict_inverts_to_dict(name):
     layout = PRESETS[name].build_layout()
     assert layout_from_dict(layout.to_dict()) == layout
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_padded_slab_grid_lies_inside_reference(name):
+    # the LR grid rounds n * s / s' half up, so an odd HR column count still
+    # leaves the reference covering every padded-slab voxel
+    preset = PRESETS[name]
+    layout = preset.build_layout()
+    geom = phantom_geometry(layout.final_slices, preset.voxel_mm)
+    ds = simulate_acquisition(Volume(geom, np.zeros(geom.dims)), layout,
+                              MotionScenario.identity(layout.num_slabs))
+    pad = pad_slab(ds.slabs[0], layout, 0).signal.geometry
+    reference = prepare_reference(ds.lr, (preset.voxel_mm[0], preset.voxel_mm[2]))
+    m = index_map(pad, RigidTransform.identity(), reference.geometry)
+    idx = m[:, :3] @ np.indices(pad.dims, dtype=float).reshape(3, -1) + m[:, 3:]
+    assert in_field(idx, reference.dims).all()

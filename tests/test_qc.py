@@ -16,6 +16,7 @@ from slabrecon import (
     ROIStats,
     Volume,
     compute_qc,
+    fuse,
     pad_slab,
     relative_contrast,
     roi_stats,
@@ -190,6 +191,24 @@ def test_constant_slabs_give_degenerate_report(interleaved_layout):
     assert report.degenerate
     assert not report.flag
     assert report.rho is None
+
+
+@pytest.mark.parametrize("shift_mm", [0.0, 1.2, -1.2])
+def test_shift_index_same_for_padded_summed_and_fused(standard_phantom, interleaved_layout,
+                                                      shift_mm):
+    padded = simulate_padded_pair(standard_phantom.volume, interleaved_layout,
+                                  shift_mm, 2.0, seed=1)
+    summed = padded[0].signal.with_data(sum(p.signal.data for p in padded))
+    fused = fuse([p.signal for p in padded], [p.mask for p in padded]).fused
+    expected = shift_index(padded, interleaved_layout).to_dict()
+    assert shift_index(summed, interleaved_layout).to_dict() == expected
+    assert shift_index(fused, interleaved_layout).to_dict() == expected
+
+
+def test_shift_index_rejects_negative_foreground_fraction(standard_phantom,
+                                                          interleaved_layout):
+    with pytest.raises(InvalidInput):
+        shift_index(standard_phantom.volume, interleaved_layout, foreground_fraction=-0.1)
 
 
 def test_shift_index_rejects_non_interleaved(standard_phantom):
