@@ -130,6 +130,7 @@ class RegistrationResult:
     final_nmi: float
     trace: tuple
     masked_voxels: int
+    evaluations: tuple[int, ...] = ()   # distinct poses scored, per pyramid level
 
     def to_dict(self) -> dict:
         return {
@@ -140,8 +141,10 @@ class RegistrationResult:
             "reslice_interpolation": "trilinear",
             "mask_interpolation": "trilinear",
             "trace": [
-                {"stride": stride, "nmi": [float(v) for v in values]}
-                for stride, values in self.trace
+                {"stride": stride, "nmi": [float(v) for v in values],
+                 "evaluations": evaluations}
+                for (stride, values), evaluations
+                in zip(self.trace, self.evaluations, strict=True)
             ],
         }
 
@@ -199,9 +202,9 @@ class _MaskedNmiObjective:
         # "nearest", unlike the mirror mode of resampling: the two differ in
         # the outer half-voxel band, and the NMI values depend on it
         fixed_values = ndimage.map_coordinates(
-            self.fixed.data, idx[:, inside], order=1, mode="nearest"
+            self.fixed.data, idx.compress(inside, axis=1), order=1, mode="nearest"
         )
-        counts = _accumulate(self.mov_bins[inside], fixed_values,
+        counts = _accumulate(self.mov_bins.compress(inside), fixed_values,
                              *self.fixed_range, self.bins)
         return JointHistogram(counts, self.moving_range, self.fixed_range,
                               float(counts.sum()))
@@ -218,15 +221,28 @@ def _params_to_transform(params: np.ndarray, center) -> RigidTransform:
     )
 
 
-def _compass_search(objective, params0, steps0, config) -> tuple[np.ndarray, float, list]:
+def _compass_search(objective, params0, steps0, config) -> tuple[np.ndarray, float, list, int]:
     """Greedy per-parameter search, fixed order tx, ty, tz, rx, ry, rz.
 
     After each sweep the aggregated move is retried once (pattern move),
     which keeps the search from stalling in valleys where rotation and
     translation trade off against each other.
+
+    The reverse step after a move and a failed pattern move come back to
+    poses already scored, so each pose is scored once (keyed on its
+    parameter bytes). Returns the parameters, their value, the best value
+    after each sweep and the number of distinct poses scored.
     """
+    scored = {}
+
+    def score(p):
+        key = p.tobytes()
+        if key not in scored:
+            scored[key] = objective(p)
+        return scored[key]
+
     params = np.array(params0, dtype=float)
-    best = objective(params)
+    best = score(params)
     if not np.isfinite(best):
         raise RegistrationFailed("metric not finite at the starting point")
     steps = np.array(steps0, dtype=float)
@@ -239,29 +255,29 @@ def _compass_search(objective, params0, steps0, config) -> tuple[np.ndarray, flo
             for sign in (1.0, -1.0):
                 cand = params.copy()
                 cand[i] += sign * steps[i]
-                value = objective(cand)
+                value = score(cand)
                 if value > best:
                     while value > best:
                         params, best = cand, value
                         cand = params.copy()
                         cand[i] += sign * steps[i]
-                        value = objective(cand)
+                        value = score(cand)
                     break
         delta = params - sweep_origin
         if np.any(delta != 0.0):
             cand = params + delta
-            value = objective(cand)
+            value = score(cand)
             while value > best:
                 params, best = cand, value
                 cand = params + delta
-                value = objective(cand)
+                value = score(cand)
         trace.append(float(best))
         if best - sweep_start < config.tolerance:
             if halvings >= config.step_halvings:
                 break
             steps *= 0.5
             halvings += 1
-    return params, best, trace
+    return params, best, trace, len(scored)
 
 
 def register_rigid(padded: PaddedSlab, reference: Volume,
@@ -290,15 +306,17 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
 
     params = np.zeros(6)
     trace = []
+    evaluations = []
     final_value = None
     for stride, objective_data in zip(config.pyramid, levels):
         def objective(p):
             return objective_data(_params_to_transform(p, center))
 
-        params, final_value, level_trace = _compass_search(
+        params, final_value, level_trace, level_evaluations = _compass_search(
             objective, params, steps * stride, config
         )
         trace.append((stride, tuple(level_trace)))
+        evaluations.append(level_evaluations)
 
     if final_value is None or not np.isfinite(final_value):
         raise RegistrationFailed("registration produced a non-finite metric")
@@ -307,6 +325,7 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
         final_nmi=float(final_value),
         trace=tuple(trace),
         masked_voxels=levels[-1].n_samples,
+        evaluations=tuple(evaluations),
     )
 
 

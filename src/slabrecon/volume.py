@@ -110,7 +110,7 @@ def _sample_indices(volume: Volume, idx: np.ndarray, method: InterpolationMethod
         return _interpolate_at_indices(volume, idx, method), inside
     values = np.full(idx.shape[1], float(out_value))
     if inside.any():
-        values[inside] = _interpolate_at_indices(volume, idx[:, inside], method)
+        values[inside] = _interpolate_at_indices(volume, idx.compress(inside, axis=1), method)
     return values, inside
 
 

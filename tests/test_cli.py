@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from slabrecon import RegistrationFailed, RigidTransform
 from slabrecon.cli import main
+from slabrecon.registration import RegistrationResult
 from slabrecon.reports import read_json
 
 
@@ -154,3 +156,26 @@ def test_config_echoed_into_report(tmp_path):
     assert scenario["config"]["noise_sigma_pct"] == 0.0
     assert scenario["config"]["phantom_fov_mm"] == [14.4, 12.0]
     assert scenario["scenario"]["labels"] == [[], []]
+
+
+def test_slab_failing_in_a_worker_exits_3(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    # slab 1 is registered in a forked worker; its failure still exits 3
+    def fail_slab_1(padded, reference, config=None):
+        if padded.slab_index == 1:
+            raise RegistrationFailed("metric not finite at the starting point")
+        return RegistrationResult(RigidTransform.identity(), 2.0, (), 0)
+
+    monkeypatch.setattr("slabrecon.fusion.register_rigid", fail_slab_1)
+    sim, _, _ = pipeline_dirs
+    out = tmp_path / "rec"
+    code = main([
+        "reconstruct",
+        "--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz"),
+        "--lr", str(sim / "lr.nii.gz"),
+        "--out", str(out), "--seed", "3",
+    ])
+    assert code == 3
+    assert "slab 1: metric not finite" in capsys.readouterr().err
+    error = read_json(out / "report.json")["error"]
+    assert error == {"type": "RegistrationFailed",
+                     "message": "slab 1: metric not finite at the starting point"}

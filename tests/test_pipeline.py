@@ -1,5 +1,7 @@
 """End-to-end invariants that span simulation, registration and fusion."""
 
+import multiprocessing
+import os
 import warnings
 
 import numpy as np
@@ -8,12 +10,16 @@ import pytest
 from slabrecon import (
     ContiguousLayout,
     InterleavedLayout,
+    InvalidInput,
     MotionScenario,
     NestedLayout,
     PhantomSpec,
+    RegistrationConfig,
+    RegistrationFailed,
     RigidTransform,
     apply_result,
     generate_phantom,
+    get_preset,
     pad_slab,
     phantom_geometry,
     prepare_reference,
@@ -22,6 +28,7 @@ from slabrecon import (
     shift_index,
     simulate_acquisition,
 )
+from slabrecon.registration import RegistrationResult
 
 from conftest import rmse_fraction
 
@@ -113,3 +120,107 @@ def test_reconstruct_warns_on_information_loss(standard_phantom, interleaved_lay
     with pytest.warns(UserWarning, match="uncovered"):
         fusion, _ = reconstruct(list(ds.slabs), interleaved_layout, ds.lr)
     assert fusion.uncovered_fraction > 0.4  # information loss across the slab
+
+
+def _preset_dataset(preset, seed=0):
+    """The preset's phantom with slab 1 moved by the CLI's default motion, 2% noise."""
+    p = get_preset(preset)
+    layout = p.build_layout()
+    truth = generate_phantom(PhantomSpec(),
+                             phantom_geometry(layout.final_slices, p.voxel_mm)).volume
+    center = tuple(truth.geometry.world_center())
+    transforms = [RigidTransform.identity(center) for _ in range(layout.num_slabs)]
+    transforms[1] = RigidTransform(rotation=(np.radians(1.5), 0.0, 0.0),
+                                   translation=(0.0, 0.0, 0.6), center=center)
+    scenario = MotionScenario(tuple(transforms), noise_sigma_pct=2.0)
+    return layout, simulate_acquisition(truth, layout, scenario, seed=seed)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("preset", ["ns_7t_32ch_t2w_interleaved",
+                                    "cmrr_7t_32ch_t2w_interleaved4"])
+def test_reconstruct_registers_like_a_serial_loop(preset):
+    # the 4-slab preset has more slabs than a 2-CPU machine runs at once
+    layout, ds = _preset_dataset(preset)
+    cfg = RegistrationConfig(pyramid=(4, 2), max_iterations=10, step_halvings=2)
+    fds = _open_fds()
+    _, results = reconstruct(list(ds.slabs), layout, ds.lr, cfg)
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+    spacing = ds.slabs[0].geometry.spacing
+    reference = prepare_reference(ds.lr, (spacing[0], spacing[2]))
+    serial = [register_rigid(pad_slab(slab, layout, j), reference, cfg)
+              for j, slab in enumerate(ds.slabs)]
+    assert len(results) == len(serial) == layout.num_slabs
+    for got, want in zip(results, serial):
+        assert got.transform.parameters().tobytes() == want.transform.parameters().tobytes()
+        assert got.transform.center == want.transform.center
+        assert got.final_nmi == want.final_nmi
+        assert got.trace == want.trace
+        assert got.evaluations == want.evaluations
+
+
+def _small_three_slab_dataset():
+    layout = InterleavedLayout(6, slabs=3, slice_thickness_mm=1.2)
+    truth = generate_phantom(PhantomSpec(length_mm=30.0),
+                             phantom_geometry(layout.final_slices)).volume
+    center = tuple(truth.geometry.world_center())
+    ds = simulate_acquisition(truth, layout, MotionScenario.identity(3, center), seed=1)
+    return layout, ds, center
+
+
+def _failing_from_slab_1(center, failure):
+    """A stand-in for register_rigid: identity for slab 0, ``failure`` from slab 1 on."""
+    def fake(padded, reference, config=None):
+        if padded.slab_index >= 1:
+            failure(padded.slab_index)
+        return RegistrationResult(RigidTransform.identity(center), 2.0, (), 0)
+    return fake
+
+
+def _raise_registration_failed(j):
+    raise RegistrationFailed(f"boom {j}")
+
+
+def _raise_invalid_input(j):
+    raise InvalidInput(f"bad slab {j}")
+
+
+def _exit_without_result(j):
+    os._exit(5)
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    (_raise_registration_failed, RegistrationFailed, r"^slab 1: boom 1$"),
+    (_exit_without_result, RegistrationFailed,
+     r"^slab 1: worker exited with code 5 and no result$"),
+    (_raise_invalid_input, InvalidInput, r"^bad slab 1$"),
+])
+def test_slab_failing_in_a_worker_raises_for_the_lowest_slab(monkeypatch, failure,
+                                                             error, message):
+    # slabs 1 and 2 both fail, each in its own forked worker
+    layout, ds, center = _small_three_slab_dataset()
+    monkeypatch.setattr("slabrecon.fusion.register_rigid",
+                        _failing_from_slab_1(center, failure))
+    fds = _open_fds()
+    with pytest.raises(error, match=message):
+        reconstruct(list(ds.slabs), layout, ds.lr)
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+
+
+def _reconstruct_small(_):
+    layout, ds, _ = _small_three_slab_dataset()
+    cfg = RegistrationConfig(pyramid=(2,), max_iterations=3, step_halvings=1)
+    _, results = reconstruct(list(ds.slabs), layout, ds.lr, cfg)
+    return [r.transform.parameters().tobytes() for r in results]
+
+
+def test_reconstruct_runs_in_a_daemonic_pool_worker():
+    # a Pool worker may not start children, so it registers every slab itself
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.map(_reconstruct_small, [0])[0]
+    assert in_worker == _reconstruct_small(0)

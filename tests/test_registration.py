@@ -24,7 +24,7 @@ from slabrecon import (
     simulate_acquisition,
     transform_deviation,
 )
-from slabrecon.registration import RegistrationResult
+from slabrecon.registration import RegistrationResult, _compass_search
 
 FAST_CONFIG = RegistrationConfig(pyramid=(2, 1), max_iterations=25, step_halvings=3)
 
@@ -275,3 +275,35 @@ def test_fast_config_validation():
         RegistrationConfig(pyramid=())
     cfg = dataclasses.replace(RegistrationConfig(), bins=32)
     assert cfg.bins == 32
+
+
+def test_compass_search_scores_each_pose_once():
+    # a concave quadratic with one coupled pair: the search steps back onto
+    # poses it already scored (the reverse step, failed pattern moves)
+    target = np.array([0.37, -0.52, 0.11, 0.013, -0.021, 0.007])
+    weights = np.array([1.0, 2.0, 0.5, 300.0, 200.0, 400.0])
+    seen = []
+
+    def objective(p):
+        seen.append(p.tobytes())
+        d = p - target
+        return -float((weights * d * d).sum() + 5.0 * d[0] * d[4])
+
+    steps = np.array([0.15] * 3 + [np.radians(0.5)] * 3)
+    params, best, trace, evaluations = _compass_search(
+        objective, np.zeros(6), steps, RegistrationConfig())
+    assert len(seen) == len(set(seen)) == evaluations
+    assert best == objective(params) == trace[-1]
+    assert np.abs(params - target).max() < 0.01
+
+
+def test_report_lists_evaluations_per_level(motion_dataset, interleaved_layout):
+    ds, reference, _ = motion_dataset
+    padded = pad_slab(ds.slabs[1], interleaved_layout, 1)
+    result = register_rigid(padded, reference, FAST_CONFIG)
+    levels = result.to_dict()["trace"]
+    assert [level["stride"] for level in levels] == list(FAST_CONFIG.pyramid)
+    assert [level["evaluations"] for level in levels] == list(result.evaluations)
+    for level in levels:
+        # the first sweep scores the start and its 12 neighbours
+        assert level["evaluations"] >= 13
