@@ -48,7 +48,10 @@ def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
     """Preset name or path to a JSON layout file -> (layout, voxel spacing)."""
     if os.path.exists(name):
         with open(name, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"layout file {name} is not JSON: {exc}") from exc
         layout = layout_from_dict(spec)
         voxel = tuple(spec.get("voxel_mm", (0.3, layout.slice_thickness_mm, 0.3)))
         return layout, voxel

@@ -2,7 +2,7 @@
 
 The config file is a flat key = value text format with JSON-compatible
 values and '#' comments. Unknown keys are hard errors so a typo in a
-tolerance cannot silently fall back to a default.
+key cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ class PipelineConfig:
     # registration
     bins: int = 64
     pyramid: list = field(default_factory=lambda: [4, 2, 1])
-    rotation_step_deg: float = 0.5
-    translation_step_factor: float = 0.5
-    tolerance: float = 1e-5
     max_iterations: int = 50
     step_halvings: int = 5
 

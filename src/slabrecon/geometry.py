@@ -72,9 +72,6 @@ class AffineGeometry:
     def world_center(self) -> np.ndarray:
         return self.index_to_world([(d - 1) / 2.0 for d in self.dims])[0]
 
-    def voxel_volume_mm3(self) -> float:
-        return float(np.prod(self.spacing))
-
     def same_grid(self, other: "AffineGeometry", tol: float = 1e-9) -> bool:
         return (
             self.dims == other.dims

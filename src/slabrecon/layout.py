@@ -196,24 +196,27 @@ SlabLayout = Union[InterleavedLayout, ContiguousLayout, NestedLayout]
 
 def layout_from_dict(spec: dict) -> SlabLayout:
     """Inverse of the layouts' ``to_dict``; also reads hand-written layout files."""
-    kind = spec.get("kind")
-    if kind == "interleaved":
-        return InterleavedLayout(
-            slices_per_slab=int(spec["slices_per_slab"]),
-            slabs=int(spec.get("slabs", 2)),
-            slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
-        )
-    if kind == "contiguous":
-        return ContiguousLayout(
-            slices_per_slab=int(spec["slices_per_slab"]),
-            slabs=int(spec.get("slabs", 2)),
-            overlap_slices=int(spec.get("overlap_slices", 1)),
-            slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
-        )
-    if kind == "nested":
-        children = tuple(layout_from_dict(c) for c in spec["children"])
-        return NestedLayout(children, overlap_slices=int(spec.get("overlap_slices", 1)))
-    raise ConfigError(f"unknown layout kind {spec.get('kind')!r}")
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    try:
+        if kind == "interleaved":
+            return InterleavedLayout(
+                slices_per_slab=int(spec["slices_per_slab"]),
+                slabs=int(spec.get("slabs", 2)),
+                slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
+            )
+        if kind == "contiguous":
+            return ContiguousLayout(
+                slices_per_slab=int(spec["slices_per_slab"]),
+                slabs=int(spec.get("slabs", 2)),
+                overlap_slices=int(spec.get("overlap_slices", 1)),
+                slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
+            )
+        if kind == "nested":
+            children = tuple(layout_from_dict(c) for c in spec["children"])
+            return NestedLayout(children, overlap_slices=int(spec.get("overlap_slices", 1)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{kind} layout: missing or malformed value ({exc})") from None
+    raise ConfigError(f"unknown layout kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -228,15 +231,13 @@ class PaddedSlab:
 def _padded_geometry(acquired: Volume, layout: SlabLayout, owned: np.ndarray) -> AffineGeometry:
     geom = acquired.geometry
     th = layout.slice_thickness_mm
+    # every layout owns an arithmetic progression of slices
     stride = int(owned[1] - owned[0]) if len(owned) > 1 else 1
-    if len(owned) > 1:
-        if np.any(np.diff(owned) != stride):
-            raise LayoutMismatch("slab ownership is not uniformly strided")
-        if abs(geom.spacing[1] - stride * th) > 1e-6:
-            raise LayoutMismatch(
-                f"acquired slice spacing {geom.spacing[1]} mm does not match "
-                f"layout stride {stride} x {th} mm"
-            )
+    if len(owned) > 1 and abs(geom.spacing[1] - stride * th) > 1e-6:
+        raise LayoutMismatch(
+            f"acquired slice spacing {geom.spacing[1]} mm does not match "
+            f"layout stride {stride} x {th} mm"
+        )
     # padded slice 'owned[0]' coincides with acquired slice 0
     shift = geom.axes @ np.array([0.0, owned[0] * th, 0.0])
     origin = tuple(np.asarray(geom.origin) - shift)
@@ -297,8 +298,6 @@ def prepare_reference(lr: Volume, hr_inplane: tuple[float, float]) -> Volume:
     if geom.spacing[0] < rx - 1e-9 or geom.spacing[2] < rz - 1e-9:
         raise InvalidInput("LR in-plane spacing must be >= the HR target spacing")
     target = geom.with_spacing((rx, geom.spacing[1], rz))
-    if target.same_grid(geom):
-        return lr
     return resample(lr, target, RigidTransform.identity(),
                     InterpolationMethod.CubicBSpline).volume
 

@@ -43,6 +43,8 @@ class EllipsoidROI:
         ax = np.array(self.axes, dtype=float)
         ax.flags.writeable = False
         object.__setattr__(self, "axes", ax)
+        if len(self.center_mm) != 3 or len(self.semi_axes_mm) != 3:
+            raise InvalidInput("ROI center and semi-axes need 3 values each")
         if any(a <= 0 for a in self.semi_axes_mm):
             raise InvalidInput("ellipsoid semi-axes must be > 0")
         if ax.shape != (3, 3) or not np.allclose(ax.T @ ax, np.eye(3), atol=1e-6):
@@ -271,17 +273,22 @@ def compute_qc(volume: Volume, rois: dict, shift: ShiftReport | None = None,
 def load_rois(path) -> dict:
     """Read ROI definitions from a JSON sidecar {label: {center_mm, semi_axes_mm, axes?}}."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"ROI sidecar {path} is not JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InvalidInput("ROI sidecar must be a JSON object keyed by label")
     rois = {}
     for label, entry in raw.items():
-        rois[label] = EllipsoidROI(
-            tuple(entry["center_mm"]),
-            tuple(entry["semi_axes_mm"]),
-            np.array(entry.get("axes", np.eye(3).tolist())),
-            label=entry.get("label", label),
-        )
+        try:
+            rois[label] = EllipsoidROI(
+                tuple(entry["center_mm"]), tuple(entry["semi_axes_mm"]),
+                np.array(entry.get("axes", np.eye(3).tolist())),
+                label=entry.get("label", label),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"ROI {label!r}: missing or malformed value ({exc})") from None
     return rois
 
 

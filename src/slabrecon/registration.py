@@ -7,9 +7,10 @@ carry no anatomy and never enter the metric. NMI = (H(A) + H(B)) / H(A, B)
 with Shannon entropies in bits, so 2 means identical and 1 independent.
 
 The optimizer is a deterministic derivative-free compass search over
-(tx, ty, tz, rx, ry, rz), greedy per parameter with step halving on
-stall, run coarse-to-fine over in-plane sampling strides. Identical
-inputs and config give bit-identical results.
+(tx, ty, tz, rx, ry, rz): axis steps only, greedy per parameter, with
+fixed initial steps halved on stall (Kolda, Lewis & Torczon, SIAM Review
+45:385, 2003), run coarse-to-fine over in-plane sampling strides.
+Identical inputs and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ from .layout import PaddedSlab
 from .volume import InterpolationMethod, Volume, in_field, resample_all
 
 _NMI_SLACK = 1e-9
+
+# Compass-search steps at stride 1; coarser levels scale them by the stride.
+_ROTATION_STEP_DEG = 0.5            # the accuracy bound; halving refines below it
+_TRANSLATION_STEP_VOXELS = 0.5      # of the in-plane voxel: sub-voxel from the start
+_SWEEP_GAIN_TOLERANCE = 1e-5        # a sweep gaining less NMI has stalled: halve
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,6 @@ def joint_histogram(moving: Volume, fixed: Volume, mask: Volume,
 class RegistrationConfig:
     bins: int = 64
     pyramid: tuple[int, ...] = (4, 2, 1)        # in-plane sampling strides
-    rotation_step_deg: float = 0.5
-    translation_step_factor: float = 0.5        # x the in-plane voxel size (mm)
-    tolerance: float = 1e-5
     max_iterations: int = 50                    # compass sweeps per level
     step_halvings: int = 5
 
@@ -224,14 +227,14 @@ def _params_to_transform(params: np.ndarray, center) -> RigidTransform:
 def _compass_search(objective, params0, steps0, config) -> tuple[np.ndarray, float, list, int]:
     """Greedy per-parameter search, fixed order tx, ty, tz, rx, ry, rz.
 
-    After each sweep the aggregated move is retried once (pattern move),
-    which keeps the search from stalling in valleys where rotation and
-    translation trade off against each other.
+    Each sweep tries a step up and down along each axis and keeps stepping
+    while the value improves; a sweep that gains less than the tolerance
+    halves the steps, up to ``config.step_halvings`` times.
 
-    The reverse step after a move and a failed pattern move come back to
-    poses already scored, so each pose is scored once (keyed on its
-    parameter bytes). Returns the parameters, their value, the best value
-    after each sweep and the number of distinct poses scored.
+    The reverse step after a move comes back to a pose already scored, so
+    each pose is scored once (keyed on its parameter bytes). Returns the
+    parameters, their value, the best value after each sweep and the
+    number of distinct poses scored.
     """
     scored = {}
 
@@ -250,7 +253,6 @@ def _compass_search(objective, params0, steps0, config) -> tuple[np.ndarray, flo
     halvings = 0
     for _ in range(config.max_iterations):
         sweep_start = best
-        sweep_origin = params.copy()
         for i in range(6):
             for sign in (1.0, -1.0):
                 cand = params.copy()
@@ -263,16 +265,8 @@ def _compass_search(objective, params0, steps0, config) -> tuple[np.ndarray, flo
                         cand[i] += sign * steps[i]
                         value = score(cand)
                     break
-        delta = params - sweep_origin
-        if np.any(delta != 0.0):
-            cand = params + delta
-            value = score(cand)
-            while value > best:
-                params, best = cand, value
-                cand = params + delta
-                value = score(cand)
         trace.append(float(best))
-        if best - sweep_start < config.tolerance:
+        if best - sweep_start < _SWEEP_GAIN_TOLERANCE:
             if halvings >= config.step_halvings:
                 break
             steps *= 0.5
@@ -300,8 +294,8 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
     geometry = padded.signal.geometry
     center = tuple(geometry.index_to_world(samples.index.mean(axis=1))[0])
 
-    trans_step = config.translation_step_factor * geometry.spacing[0]
-    rot_step = np.radians(config.rotation_step_deg)
+    trans_step = _TRANSLATION_STEP_VOXELS * geometry.spacing[0]
+    rot_step = np.radians(_ROTATION_STEP_DEG)
     steps = np.array([trans_step] * 3 + [rot_step] * 3)
 
     params = np.zeros(6)

@@ -179,3 +179,39 @@ def test_slab_failing_in_a_worker_exits_3(pipeline_dirs, tmp_path, monkeypatch, 
     error = read_json(out / "report.json")["error"]
     assert error == {"type": "RegistrationFailed",
                      "message": "slab 1: metric not finite at the starting point"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rotation_step_deg", "0.5"), ("translation_step_factor", "0.5"), ("tolerance", "1e-5"),
+])
+def test_deleted_registration_key_is_usage_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", '{"GM": {"semi_axes_mm": [1, 1, 1]}}',
+    '{"GM": {"center_mm": [1, 2], "semi_axes_mm": [1, 1, 1]}}',
+])
+def test_malformed_roi_file_is_data_error(pipeline_dirs, tmp_path, capsys, text):
+    _, rec, _ = pipeline_dirs
+    rois = tmp_path / "rois.json"
+    rois.write_text(text)
+    code = main(["qc", "--volume", str(rec / "fused.nii.gz"), "--rois", str(rois),
+                 "--out", str(tmp_path / "qc")])
+    assert code == 4
+    assert "ROI" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", '{"kind": "interleaved"}', '{"kind": "interleaved", "slices_per_slab": "x"}',
+])
+def test_malformed_layout_file_is_usage_error(tmp_path, capsys, text):
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(text)
+    code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
+    assert code == 2
+    assert "layout" in capsys.readouterr().err

@@ -8,9 +8,6 @@ def test_registration_config_passes_every_field_through():
     overrides = {
         "bins": 32,
         "pyramid": [3, 1],
-        "rotation_step_deg": 0.25,
-        "translation_step_factor": 0.75,
-        "tolerance": 1e-4,
         "max_iterations": 7,
         "step_halvings": 2,
     }

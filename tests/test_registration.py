@@ -297,6 +297,26 @@ def test_compass_search_scores_each_pose_once():
     assert np.abs(params - target).max() < 0.01
 
 
+def test_compass_search_steps_along_one_axis_at_a_time():
+    # the coupled quadratic above: with axis steps only, every pose the search
+    # scores is one step along one parameter from a pose it scored before
+    target = np.array([0.37, -0.52, 0.11, 0.013, -0.021, 0.007])
+    weights = np.array([1.0, 2.0, 0.5, 300.0, 200.0, 400.0])
+    seen = []
+
+    def objective(p):
+        seen.append(p.copy())
+        d = p - target
+        return -float((weights * d * d).sum() + 5.0 * d[0] * d[4])
+
+    steps = np.array([0.15] * 3 + [np.radians(0.5)] * 3)
+    _compass_search(objective, np.zeros(6), steps, RegistrationConfig())
+    assert len(seen) > 13
+    for k in range(1, len(seen)):
+        differing = (np.asarray(seen[:k]) != seen[k]).sum(axis=1)
+        assert (differing == 1).any(), f"pose {k} is not an axis step from an earlier one"
+
+
 def test_report_lists_evaluations_per_level(motion_dataset, interleaved_layout):
     ds, reference, _ = motion_dataset
     padded = pad_slab(ds.slabs[1], interleaved_layout, 1)
