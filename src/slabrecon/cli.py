@@ -53,20 +53,19 @@ def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"layout file {name} is not JSON: {exc}") from exc
         layout = layout_from_dict(spec)
-        voxel = tuple(spec.get("voxel_mm", (0.3, layout.slice_thickness_mm, 0.3)))
-        return layout, voxel
+        default = (0.3, layout.slice_thickness_mm, 0.3)
+        try:
+            sx, sy, sz = (float(v) for v in spec.get("voxel_mm", default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"layout file {name}: voxel_mm is not 3 numbers ({exc})") from None
+        return layout, (sx, sy, sz)
     preset = get_preset(name)
     return preset.build_layout(), preset.voxel_mm
 
 
 def _load_config(args) -> PipelineConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    overrides = {}
-    for key in ("layout", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return resolve_config(file_values, **overrides)
+    return resolve_config(file_values, layout=args.layout, seed=args.seed)
 
 
 def _default_scenario(config: PipelineConfig, num_slabs: int, center) -> MotionScenario:

@@ -14,8 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .fusion import DEFAULT_EPSILON
 from .geometry import RigidTransform
+from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
+from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
+from .simulate import LR_INPLANE_FACTOR
+
+_NUMBER = (int, float)   # matched by type(), so that JSON true and false are no numbers
 
 
 @dataclass
@@ -24,27 +30,27 @@ class PipelineConfig:
     seed: int = 0
 
     # registration
-    bins: int = 64
-    pyramid: list = field(default_factory=lambda: [4, 2, 1])
-    max_iterations: int = 50
-    step_halvings: int = 5
+    bins: int = RegistrationConfig.bins
+    pyramid: list = field(default_factory=lambda: list(RegistrationConfig.pyramid))
+    max_iterations: int = RegistrationConfig.max_iterations
+    step_halvings: int = RegistrationConfig.step_halvings
 
     # fusion
-    fusion_epsilon: float = 0.05
+    fusion_epsilon: float = DEFAULT_EPSILON
 
     # qc
-    shift_threshold: float = 0.15
-    foreground_fraction: float = 0.2
+    shift_threshold: float = DEFAULT_SHIFT_THRESHOLD
+    foreground_fraction: float = DEFAULT_FOREGROUND_FRACTION
 
     # simulation
     noise_sigma_pct: float = 2.0
-    lr_inplane_factor: float = 2.0
+    lr_inplane_factor: float = LR_INPLANE_FACTOR
     scenario: list | None = None     # per-slab [rx_deg, ry_deg, rz_deg, tx, ty, tz]
-    phantom_length_mm: float = 42.0
-    phantom_height_mm: float = 7.0
-    phantom_body_width_mm: float = 10.0
-    phantom_head_width_mm: float = 17.0
-    phantom_fov_mm: list = field(default_factory=lambda: [26.4, 19.2])
+    phantom_length_mm: float = PhantomSpec.length_mm
+    phantom_height_mm: float = PhantomSpec.height_mm
+    phantom_body_width_mm: float = PhantomSpec.body_width_mm
+    phantom_head_width_mm: float = PhantomSpec.head_width_mm
+    phantom_fov_mm: list = field(default_factory=lambda: list(DEFAULT_INPLANE_FOV_MM))
 
     def registration_config(self) -> RegistrationConfig:
         return RegistrationConfig(**{
@@ -60,7 +66,7 @@ class PipelineConfig:
             )
         transforms = []
         for row in self.scenario:
-            if len(row) != 6:
+            if len(row) != 6 or not all(type(v) in _NUMBER for v in row):
                 raise ConfigError(
                     "each scenario row is [rx_deg, ry_deg, rz_deg, tx_mm, ty_mm, tz_mm]"
                 )
@@ -78,7 +84,25 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+_DEFAULTS = dataclasses.asdict(PipelineConfig())
+
+
+def _check_type(key, value) -> None:
+    """Integer and string keys need their default's type, float keys any number,
+    list keys a list of numbers; ``scenario`` a list of lists, whose rows
+    ``scenario_transforms`` checks."""
+    default = _DEFAULTS[key]
+    if default is None:
+        ok = value is None or isinstance(value, list) and all(isinstance(r, list) for r in value)
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(type(v) in _NUMBER for v in value)
+    elif isinstance(default, float):
+        ok = type(value) in _NUMBER
+    else:
+        ok = type(value) is type(default)
+    if not ok:
+        raise ConfigError(f"configuration key {key!r} does not take {value!r} "
+                          f"(default {default!r})")
 
 
 def parse_config_file(path) -> dict:
@@ -107,10 +131,11 @@ def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConf
     merged = {}
     for source in (file_values or {}, {k: v for k, v in overrides.items() if v is not None}):
         for key, value in source.items():
-            if key not in _FIELDS:
+            if key not in _DEFAULTS:
                 raise ConfigError(
                     f"unknown configuration key {key!r}; known keys: "
-                    + ", ".join(sorted(_FIELDS))
+                    + ", ".join(sorted(_DEFAULTS))
                 )
+            _check_type(key, value)
             merged[key] = value
     return PipelineConfig(**merged)

@@ -13,7 +13,6 @@ import multiprocessing
 import os
 import warnings
 from dataclasses import dataclass
-from multiprocessing import connection
 
 import numpy as np
 
@@ -85,111 +84,84 @@ def fuse(signals: list[Volume], masks: list[Volume],
     )
 
 
+def _register_slab(padded, reference, config) -> RegistrationResult:
+    """``register_rigid``, with the slab's number in front of a failure."""
+    try:
+        return register_rigid(padded, reference, config)
+    except RegistrationFailed as exc:
+        raise RegistrationFailed(f"slab {padded.slab_index}: {exc}") from exc
+
+
 def _register_in_child(send, padded, reference, config) -> None:
     """Worker body: send one slab's result, or the exception it raised."""
     try:
-        outcome = register_rigid(padded, reference, config)
+        outcome = _register_slab(padded, reference, config)
     except Exception as exc:  # the parent raises it, in slab order
         outcome = exc
     with send:
         send.send(outcome)
 
 
-def _register_slabs(padded, reference, config) -> list:
-    """``register_rigid`` of every padded slab: a result or an exception each.
+def _register_slabs(padded, reference, config) -> list[RegistrationResult]:
+    """``register_rigid`` of every padded slab, in batches of one per CPU.
 
-    The calling process registers slab 0; every other slab runs in a forked
-    child. A child reads the slabs, the reference and the config from the
-    memory fork gave it (copy-on-write, never pickled) and sends back only
-    its result or exception over a pipe. At most as many registrations run
-    at once as this process has CPUs. A daemonic caller registers every
-    slab itself.
+    In each batch the calling process forks a child for every slab but the
+    first, registers the first itself, then reads the children's results in
+    slab order; the results equal a serial loop's. A child reads its inputs
+    from the memory fork gave it (never pickled) and sends back only its
+    result or exception over a pipe. The first failure in slab order is
+    raised: the children still running are stopped and later batches never
+    start. A daemonic process, such as a Pool worker, may not fork, so its
+    batches hold one slab.
     """
-    def register_here(j):
-        try:
-            return register_rigid(padded[j], reference, config)
-        except RegistrationFailed as exc:
-            return exc
-
-    if multiprocessing.current_process().daemon:
-        # a daemonic process, such as a Pool worker, may not start children
-        return [register_here(j) for j in range(len(padded))]
-
     ctx = multiprocessing.get_context("fork")
-    cpus = len(os.sched_getaffinity(0))
-    outcomes = [None] * len(padded)
-    waiting = list(range(1, len(padded)))
-    running = {}   # read end -> (slab, worker)
-
-    def start(limit):
-        while waiting and len(running) < limit:
-            j = waiting.pop(0)
-            receive, send = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_register_in_child,
-                                 args=(send, padded[j], reference, config))
-            worker.start()
-            send.close()
-            running[receive] = (j, worker)
-
-    def stop(receive) -> int:
-        _, worker = running.pop(receive)
-        receive.close()
-        worker.join()
-        exitcode = worker.exitcode
-        worker.close()
-        return exitcode
-
-    try:
-        start(cpus - 1)
-        outcomes[0] = register_here(0)
-        start(cpus)
-        while running:
-            for receive in connection.wait(running):
-                j = running[receive][0]
+    batch = 1 if ctx.current_process().daemon else len(os.sched_getaffinity(0))
+    results = []
+    for first in range(0, len(padded), batch):
+        children = []
+        try:
+            for j in range(first + 1, min(first + batch, len(padded))):
+                receive, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_register_in_child,
+                                    args=(send, padded[j], reference, config))
+                child.start()
+                send.close()
+                children.append((j, receive, child))
+            results.append(_register_slab(padded[first], reference, config))
+            for j, receive, child in children:
                 try:
-                    outcomes[j] = receive.recv()
-                except EOFError:   # the worker ended without sending
-                    pass
-                exitcode = stop(receive)
-                if outcomes[j] is None:
-                    outcomes[j] = RegistrationFailed(
-                        f"worker exited with code {exitcode} and no result")
-                start(cpus)
-    finally:
-        for receive, (_, worker) in list(running.items()):
-            worker.terminate()
-            stop(receive)
-    return outcomes
+                    outcome = receive.recv()
+                except EOFError:   # the child ended without sending
+                    child.join()
+                    raise RegistrationFailed(
+                        f"slab {j}: worker exited with code {child.exitcode} "
+                        "and no result") from None
+                child.join()
+                if isinstance(outcome, Exception):
+                    raise outcome
+                results.append(outcome)
+        finally:
+            for _, receive, child in children:
+                if child.exitcode is None:   # still running after a failure
+                    child.terminate()
+                child.join()
+                child.close()
+                receive.close()
+    return results
 
 
 def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
                 reg_config: RegistrationConfig | None = None,
                 epsilon: float = DEFAULT_EPSILON) -> tuple[FusionOutput, list[RegistrationResult]]:
-    """Full pipeline: prepare reference, pad, register, reslice, fuse.
-
-    The slabs are registered at the same time: the calling process takes
-    slab 0 and forks one worker per other slab, with at most as many
-    registrations running at once as the process has CPUs (a daemonic
-    process, which may not fork workers, registers them one after another).
-    The results equal those of registering the slabs one after another,
-    and a failure is raised for the lowest-numbered slab that failed.
-    """
+    """Prepare the reference, pad, register (see ``_register_slabs``), reslice, fuse."""
     if len(slabs) != layout.num_slabs:
         raise InvalidInput(
             f"got {len(slabs)} slabs, layout expects {layout.num_slabs}"
         )
-    reg_config = reg_config or RegistrationConfig()
     hr_inplane = (slabs[0].geometry.spacing[0], slabs[0].geometry.spacing[2])
     reference = prepare_reference(lr, hr_inplane)
     padded = [pad_slab(slab, layout, j) for j, slab in enumerate(slabs)]
-
-    results = []
-    for j, outcome in enumerate(_register_slabs(padded, reference, reg_config)):
-        if isinstance(outcome, RegistrationFailed):
-            raise RegistrationFailed(f"slab {j}: {outcome}") from outcome
-        if isinstance(outcome, Exception):
-            raise outcome
-        results.append(outcome)
+    results = _register_slabs(padded, reference, reg_config)
 
     target = padded[0].signal.geometry
     resliced = [apply_result(pad, res, target) for pad, res in zip(padded, results)]

@@ -25,6 +25,8 @@ from .volume import Volume
 MOTION_RATING_LEVELS = ("none", "medium", "large")
 # fewest voxels a slice pair must share for its correlation to count
 _MIN_REGION = 32
+DEFAULT_SHIFT_THRESHOLD = 0.15       # rho - rho0 that raises the flag
+DEFAULT_FOREGROUND_FRACTION = 0.2    # of the stack's peak, for foreground
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,8 @@ def _ncc(a: np.ndarray, b: np.ndarray) -> float | None:
     return float((a * b).sum() / denom)
 
 
-def shift_index(stack, layout: SlabLayout, threshold: float = 0.15,
-                foreground_fraction: float = 0.2) -> ShiftReport:
+def shift_index(stack, layout: SlabLayout, threshold: float = DEFAULT_SHIFT_THRESHOLD,
+                foreground_fraction: float = DEFAULT_FOREGROUND_FRACTION) -> ShiftReport:
     """Slice-redundancy index over an interleaved stack.
 
     ``stack`` is a Volume on the final slice grid, or the padded slabs,

@@ -25,6 +25,7 @@ REALISTIC_MAX_ROTATION_DEG = 5.0
 REALISTIC_MAX_TRANSLATION_MM = 3.0
 
 _COMPONENT_TOL = 1e-9
+LR_INPLANE_FACTOR = 2.0   # LR voxel along the in-plane z axis, in HR voxels
 
 
 def classify_motion(transform: RigidTransform) -> list[str]:
@@ -153,7 +154,7 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
 
     if lr_spacing is None:
         g = truth.geometry
-        lr_spacing = (g.spacing[0], g.spacing[1], 2.0 * g.spacing[2])
+        lr_spacing = (g.spacing[0], g.spacing[1], LR_INPLANE_FACTOR * g.spacing[2])
     lr_geom = truth.geometry.with_spacing(lr_spacing)
     lr = resample(truth, lr_geom, RigidTransform.identity(),
                   InterpolationMethod.CubicBSpline, extend=True).volume

@@ -208,6 +208,8 @@ def test_malformed_roi_file_is_data_error(pipeline_dirs, tmp_path, capsys, text)
 
 @pytest.mark.parametrize("text", [
     "{not json", '{"kind": "interleaved"}', '{"kind": "interleaved", "slices_per_slab": "x"}',
+    '{"kind":"interleaved","slices_per_slab":4,"voxel_mm":5}',
+    '{"kind":"interleaved","slices_per_slab":4,"voxel_mm":[0.3,1.2]}',
 ])
 def test_malformed_layout_file_is_usage_error(tmp_path, capsys, text):
     layout_file = tmp_path / "layout.json"
@@ -215,3 +217,24 @@ def test_malformed_layout_file_is_usage_error(tmp_path, capsys, text):
     code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
     assert code == 2
     assert "layout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("reconstruct", 'bins = "x"'),
+    ("reconstruct", "pyramid = 3"),
+    ("reconstruct", 'max_iterations = "5"'),
+    ("simulate", 'scenario = [[0, 0, 0, 0, 0, "a"], [0, 0, 0, 0, 0, 0]]'),
+])
+def test_config_value_of_the_wrong_type_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                       command, line):
+    sim, _, _ = pipeline_dirs
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text(line + "\n")
+    inputs = {
+        "reconstruct": ["--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz"),
+                        "--lr", str(sim / "lr.nii.gz")],
+        "simulate": [],
+    }[command]
+    code = main([command, *inputs, "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert line.split(" =")[0] in capsys.readouterr().err

@@ -1,6 +1,19 @@
 import dataclasses
+import inspect
 
-from slabrecon import RegistrationConfig
+import numpy as np
+
+from slabrecon import (
+    InterleavedLayout,
+    MotionScenario,
+    PhantomSpec,
+    RegistrationConfig,
+    Volume,
+    fuse,
+    phantom_geometry,
+    shift_index,
+    simulate_acquisition,
+)
 from slabrecon.config import PipelineConfig
 
 
@@ -17,3 +30,25 @@ def test_registration_config_passes_every_field_through():
                for k, v in overrides.items())
     reg = PipelineConfig(**overrides).registration_config()
     assert reg == RegistrationConfig(**{**overrides, "pyramid": (3, 1)})
+
+
+def _default(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
+
+
+def test_pipeline_defaults_are_the_owners_defaults():
+    config = PipelineConfig()
+    assert config.registration_config() == RegistrationConfig()
+    assert config.fusion_epsilon == _default(fuse, "epsilon")
+    assert config.shift_threshold == _default(shift_index, "threshold")
+    assert config.foreground_fraction == _default(shift_index, "foreground_fraction")
+    spec = PhantomSpec()
+    assert [config.phantom_length_mm, config.phantom_height_mm,
+            config.phantom_body_width_mm, config.phantom_head_width_mm] == [
+        spec.length_mm, spec.height_mm, spec.body_width_mm, spec.head_width_mm]
+    assert tuple(config.phantom_fov_mm) == _default(phantom_geometry, "inplane_fov_mm")
+    layout = InterleavedLayout(2, slabs=2)
+    geometry = phantom_geometry(layout.final_slices, inplane_fov_mm=(2.4, 2.4))
+    truth = Volume(geometry, np.ones(geometry.dims))
+    lr = simulate_acquisition(truth, layout, MotionScenario.identity(2)).lr
+    assert lr.geometry.spacing[2] == config.lr_inplane_factor * geometry.spacing[2]

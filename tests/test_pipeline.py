@@ -224,3 +224,47 @@ def test_reconstruct_runs_in_a_daemonic_pool_worker():
     with multiprocessing.get_context("fork").Pool(1) as pool:
         in_worker = pool.map(_reconstruct_small, [0])[0]
     assert in_worker == _reconstruct_small(0)
+
+
+def _fake_register_rigid(center, failing=(), marker_dir=None):
+    """A stand-in for register_rigid that records which process ran each slab.
+
+    The result carries the slab number in ``final_nmi`` and the registering
+    process id in ``masked_voxels``. Slabs in ``failing`` raise
+    RegistrationFailed; with ``marker_dir`` every call touches a file named
+    after its slab, which a forked child can do as well.
+    """
+    def fake(padded, reference, config=None):
+        j = padded.slab_index
+        if marker_dir is not None:
+            (marker_dir / f"slab_{j}").touch()
+        if j in failing:
+            raise RegistrationFailed(f"boom {j}")
+        return RegistrationResult(RigidTransform.identity(center), float(j), (), os.getpid())
+    return fake
+
+
+def test_two_cpus_register_slabs_in_batches_of_two(monkeypatch):
+    # batches (0, 1) and (2,): the caller takes slabs 0 and 2, a child slab 1
+    layout, ds, center = _small_three_slab_dataset()
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr("slabrecon.fusion.register_rigid", _fake_register_rigid(center))
+    fds = _open_fds()
+    _, results = reconstruct(list(ds.slabs), layout, ds.lr)
+    assert [r.final_nmi for r in results] == [0.0, 1.0, 2.0]
+    pids = [r.masked_voxels for r in results]
+    assert pids[0] == pids[2] == os.getpid() != pids[1]
+    assert multiprocessing.active_children() == []
+    assert _open_fds() == fds
+
+
+def test_one_cpu_stops_at_the_first_failing_slab(monkeypatch, tmp_path):
+    # one slab per batch: slab 0 fails in the caller and no later slab starts
+    layout, ds, center = _small_three_slab_dataset()
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr("slabrecon.fusion.register_rigid",
+                        _fake_register_rigid(center, failing={0, 1, 2}, marker_dir=tmp_path))
+    with pytest.raises(RegistrationFailed, match=r"^slab 0: boom 0$"):
+        reconstruct(list(ds.slabs), layout, ds.lr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["slab_0"]
+    assert multiprocessing.active_children() == []

@@ -279,7 +279,7 @@ def test_fast_config_validation():
 
 def test_compass_search_scores_each_pose_once():
     # a concave quadratic with one coupled pair: the search steps back onto
-    # poses it already scored (the reverse step, failed pattern moves)
+    # poses it already scored (the reverse step after a move)
     target = np.array([0.37, -0.52, 0.11, 0.013, -0.021, 0.007])
     weights = np.array([1.0, 2.0, 0.5, 300.0, 200.0, 400.0])
     seen = []
