@@ -8,7 +8,6 @@ JSON report written next to the output volumes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -26,11 +25,9 @@ from .fusion import reconstruct
 from .geometry import RigidTransform
 from .layout import (
     InterleavedLayout,
-    SlabLayout,
-    get_preset,
-    layout_from_dict,
     pad_slab,
     prepare_reference,
+    resolve_layout,
 )
 from .nifti import read_volume, write_volume
 from .phantom import PhantomSpec, generate_phantom, phantom_geometry
@@ -42,25 +39,6 @@ from .simulate import MotionScenario, simulate_acquisition
 _USAGE_EXIT = 2
 _REGISTRATION_EXIT = 3
 _DATA_EXIT = 4
-
-
-def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
-    """Preset name or path to a JSON layout file -> (layout, voxel spacing)."""
-    if os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"layout file {name} is not JSON: {exc}") from exc
-        layout = layout_from_dict(spec)
-        default = (0.3, layout.slice_thickness_mm, 0.3)
-        try:
-            sx, sy, sz = (float(v) for v in spec.get("voxel_mm", default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"layout file {name}: voxel_mm is not 3 numbers ({exc})") from None
-        return layout, (sx, sy, sz)
-    preset = get_preset(name)
-    return preset.build_layout(), preset.voxel_mm
 
 
 def _load_config(args) -> PipelineConfig:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInput
 from .fusion import DEFAULT_EPSILON
 from .geometry import RigidTransform
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
@@ -138,4 +138,9 @@ def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConf
                 )
             _check_type(key, value)
             merged[key] = value
-    return PipelineConfig(**merged)
+    config = PipelineConfig(**merged)
+    try:   # out-of-range registration values are config errors, whatever the command
+        config.registration_config()
+    except InvalidInput as exc:
+        raise ConfigError(f"configuration: {exc}") from None
+    return config

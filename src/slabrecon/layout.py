@@ -5,12 +5,16 @@ slice stack. Two base kinds exist: contiguous blocks with an optional
 shared overlap, and interleaved slabs whose slices alternate with a gap
 equal to the slice thickness. Layouts can be nested: two interleaved
 pairs joined contiguously reproduce the four-slab acquisition scheme.
+A continuous (LR) scan is a one-slab contiguous layout. Layout files and
+the acquisition presets are read here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Union
+import json
+import os
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -19,10 +23,50 @@ from .geometry import AffineGeometry, RigidTransform
 from .volume import InterpolationMethod, Volume, resample
 
 
+class _Layout:
+    """What every layout kind shares: the slab-index range check, the per-slab
+    geometry and the dict form. A kind supplies ``final_slices``, ``_owned``
+    and a ``slabs`` field or its own ``num_slabs``."""
+
+    kind: ClassVar[str]
+
+    def __post_init__(self):
+        if self.slices_per_slab < 1:
+            raise InvalidInput("slices_per_slab must be >= 1")
+        if self.slice_thickness_mm <= 0:
+            raise InvalidInput("slice thickness must be > 0")
+
+    @property
+    def num_slabs(self) -> int:
+        return self.slabs
+
+    def owned_slices(self, slab_index: int) -> np.ndarray:
+        """Final-stack slice indices of slab ``slab_index``, ascending."""
+        if not 0 <= slab_index < self.num_slabs:
+            raise LayoutMismatch(
+                f"slab index {slab_index} out of range for {self.num_slabs} slabs"
+            )
+        return self._owned(slab_index)
+
+    def slab_offset(self, slab_index: int, axes) -> tuple[np.ndarray, float]:
+        """World shift from final slice 0 to the slab's first slice, and the
+        slab's slice spacing. Every layout owns an arithmetic progression."""
+        owned = self.owned_slices(slab_index)
+        th = self.slice_thickness_mm
+        stride = int(owned[1] - owned[0]) if len(owned) > 1 else 1
+        return axes @ np.array([0.0, owned[0] * th, 0.0]), stride * th
+
+    def to_dict(self) -> dict:
+        """The fields, the kind and the final slice count; ``layout_from_dict`` inverts it."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"kind": self.kind, **values, "final_slices": self.final_slices}
+
+
 @dataclass(frozen=True)
-class InterleavedLayout:
+class InterleavedLayout(_Layout):
     """K slabs whose slices alternate; slab j owns final indices j, j+K, ..."""
 
+    kind: ClassVar[str] = "interleaved"
     slices_per_slab: int
     slabs: int = 2
     slice_thickness_mm: float = 1.2
@@ -30,49 +74,25 @@ class InterleavedLayout:
     def __post_init__(self):
         if self.slabs < 2:
             raise InvalidInput("interleaved layout needs at least 2 slabs")
-        if self.slices_per_slab < 1:
-            raise InvalidInput("slices_per_slab must be >= 1")
-        if self.slice_thickness_mm <= 0:
-            raise InvalidInput("slice thickness must be > 0")
-
-    @property
-    def kind(self) -> str:
-        return "interleaved"
-
-    @property
-    def num_slabs(self) -> int:
-        return self.slabs
+        super().__post_init__()
 
     @property
     def final_slices(self) -> int:
         return self.slabs * self.slices_per_slab
 
-    def owned_slices(self, slab_index: int) -> np.ndarray:
-        self._check_index(slab_index)
+    def _owned(self, slab_index: int) -> np.ndarray:
         return np.arange(slab_index, self.final_slices, self.slabs)
 
-    def _check_index(self, slab_index: int):
-        if not 0 <= slab_index < self.num_slabs:
-            raise LayoutMismatch(
-                f"slab index {slab_index} out of range for {self.num_slabs} slabs"
-            )
-
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "slabs": self.slabs,
-            "slices_per_slab": self.slices_per_slab,
-            "slice_thickness_mm": self.slice_thickness_mm,
-            "final_slices": self.final_slices,
-            # slab 0 owns the anterior-most slice (even final indices for K=2)
-            "interleave_parity": "slab j starts at final index j",
-        }
+        # slab 0 owns the anterior-most slice (even final indices for K=2)
+        return {**super().to_dict(), "interleave_parity": "slab j starts at final index j"}
 
 
 @dataclass(frozen=True)
-class ContiguousLayout:
+class ContiguousLayout(_Layout):
     """K adjacent blocks, anterior slab first, sharing ``overlap_slices`` slices."""
 
+    kind: ClassVar[str] = "contiguous"
     slices_per_slab: int
     slabs: int = 2
     overlap_slices: int = 1
@@ -81,54 +101,30 @@ class ContiguousLayout:
     def __post_init__(self):
         if self.slabs < 1:
             raise InvalidInput("contiguous layout needs at least 1 slab")
-        if self.slices_per_slab < 1:
-            raise InvalidInput("slices_per_slab must be >= 1")
+        super().__post_init__()
         if not 0 <= self.overlap_slices < self.slices_per_slab:
             raise InvalidInput("overlap must be in [0, slices_per_slab)")
         if self.slabs >= 3 and 2 * self.overlap_slices > self.slices_per_slab:
             # otherwise non-adjacent slabs would share slices
             raise InvalidInput("overlap must not exceed half a slab for 3+ slabs")
-        if self.slice_thickness_mm <= 0:
-            raise InvalidInput("slice thickness must be > 0")
-
-    @property
-    def kind(self) -> str:
-        return "contiguous"
-
-    @property
-    def num_slabs(self) -> int:
-        return self.slabs
 
     @property
     def final_slices(self) -> int:
         return self.slabs * self.slices_per_slab - (self.slabs - 1) * self.overlap_slices
 
-    def owned_slices(self, slab_index: int) -> np.ndarray:
-        if not 0 <= slab_index < self.num_slabs:
-            raise LayoutMismatch(
-                f"slab index {slab_index} out of range for {self.num_slabs} slabs"
-            )
+    def _owned(self, slab_index: int) -> np.ndarray:
         start = slab_index * (self.slices_per_slab - self.overlap_slices)
         return np.arange(start, start + self.slices_per_slab)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "slabs": self.slabs,
-            "slices_per_slab": self.slices_per_slab,
-            "overlap_slices": self.overlap_slices,
-            "slice_thickness_mm": self.slice_thickness_mm,
-            "final_slices": self.final_slices,
-        }
-
 
 @dataclass(frozen=True)
-class NestedLayout:
+class NestedLayout(_Layout):
     """Child layouts placed contiguously with a shared overlap between them.
 
     Slab indices run through the children in order (anterior child first).
     """
 
+    kind: ClassVar[str] = "nested"
     children: tuple
     overlap_slices: int = 1
 
@@ -142,10 +138,6 @@ class NestedLayout:
             raise InvalidInput("nested children must share slice count and thickness")
         if self.overlap_slices < 0:
             raise InvalidInput("overlap must be >= 0")
-
-    @property
-    def kind(self) -> str:
-        return "nested"
 
     @property
     def slices_per_slab(self) -> int:
@@ -164,31 +156,17 @@ class NestedLayout:
         total = sum(c.final_slices for c in self.children)
         return total - (len(self.children) - 1) * self.overlap_slices
 
-    def _locate(self, slab_index: int):
-        if not 0 <= slab_index < self.num_slabs:
-            raise LayoutMismatch(
-                f"slab index {slab_index} out of range for {self.num_slabs} slabs"
-            )
+    def _owned(self, slab_index: int) -> np.ndarray:
         offset = 0
-        local = slab_index
         for child in self.children:
-            if local < child.num_slabs:
-                return child, local, offset
-            local -= child.num_slabs
+            if slab_index < child.num_slabs:
+                return child.owned_slices(slab_index) + offset
+            slab_index -= child.num_slabs
             offset += child.final_slices - self.overlap_slices
         raise AssertionError("unreachable")
 
-    def owned_slices(self, slab_index: int) -> np.ndarray:
-        child, local, offset = self._locate(slab_index)
-        return child.owned_slices(local) + offset
-
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "overlap_slices": self.overlap_slices,
-            "children": [c.to_dict() for c in self.children],
-            "final_slices": self.final_slices,
-        }
+        return {**super().to_dict(), "children": [c.to_dict() for c in self.children]}
 
 
 SlabLayout = Union[InterleavedLayout, ContiguousLayout, NestedLayout]
@@ -219,6 +197,25 @@ def layout_from_dict(spec: dict) -> SlabLayout:
     raise ConfigError(f"unknown layout kind {kind!r}")
 
 
+def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
+    """Preset name or path to a JSON layout file -> (layout, voxel spacing)."""
+    if os.path.exists(name):
+        with open(name, "r", encoding="utf-8") as fh:
+            try:
+                spec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"layout file {name} is not JSON: {exc}") from exc
+        layout = layout_from_dict(spec)
+        default = (0.3, layout.slice_thickness_mm, 0.3)
+        try:
+            sx, sy, sz = (float(v) for v in spec.get("voxel_mm", default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"layout file {name}: voxel_mm is not 3 numbers ({exc})") from None
+        return layout, (sx, sy, sz)
+    preset = get_preset(name)
+    return preset.layout, preset.voxel_mm
+
+
 @dataclass(frozen=True)
 class PaddedSlab:
     """A slab expanded to final-stack dimensions plus its 0/1 signal mask."""
@@ -226,24 +223,6 @@ class PaddedSlab:
     signal: Volume
     mask: Volume
     slab_index: int
-
-
-def _padded_geometry(acquired: Volume, layout: SlabLayout, owned: np.ndarray) -> AffineGeometry:
-    geom = acquired.geometry
-    th = layout.slice_thickness_mm
-    # every layout owns an arithmetic progression of slices
-    stride = int(owned[1] - owned[0]) if len(owned) > 1 else 1
-    if len(owned) > 1 and abs(geom.spacing[1] - stride * th) > 1e-6:
-        raise LayoutMismatch(
-            f"acquired slice spacing {geom.spacing[1]} mm does not match "
-            f"layout stride {stride} x {th} mm"
-        )
-    # padded slice 'owned[0]' coincides with acquired slice 0
-    shift = geom.axes @ np.array([0.0, owned[0] * th, 0.0])
-    origin = tuple(np.asarray(geom.origin) - shift)
-    dims = (geom.dims[0], layout.final_slices, geom.dims[2])
-    spacing = (geom.spacing[0], th, geom.spacing[2])
-    return AffineGeometry(dims, spacing, origin, geom.axes)
 
 
 def pad_slab(acquired: Volume, layout: SlabLayout, slab_index: int) -> PaddedSlab:
@@ -258,12 +237,25 @@ def pad_slab(acquired: Volume, layout: SlabLayout, slab_index: int) -> PaddedSla
         raise LayoutMismatch(
             f"slab {slab_index} has {acquired.dims[1]} slices, layout expects {n}"
         )
-    geom = _padded_geometry(acquired, layout, owned)
-    signal = np.zeros(geom.dims)
-    mask = np.zeros(geom.dims)
+    geom = acquired.geometry
+    shift, spacing = layout.slab_offset(slab_index, geom.axes)
+    if n > 1 and abs(geom.spacing[1] - spacing) > 1e-6:
+        raise LayoutMismatch(
+            f"acquired slice spacing {geom.spacing[1]} mm does not match "
+            f"layout slab spacing {spacing} mm"
+        )
+    # padded slice 'owned[0]' coincides with acquired slice 0
+    padded = AffineGeometry(
+        (geom.dims[0], layout.final_slices, geom.dims[2]),
+        (geom.spacing[0], layout.slice_thickness_mm, geom.spacing[2]),
+        tuple(np.asarray(geom.origin) - shift),
+        geom.axes,
+    )
+    signal = np.zeros(padded.dims)
+    mask = np.zeros(padded.dims)
     signal[:, owned, :] = acquired.data
     mask[:, owned, :] = 1.0
-    return PaddedSlab(Volume(geom, signal), Volume(geom, mask), slab_index)
+    return PaddedSlab(Volume(padded, signal), Volume(padded, mask), slab_index)
 
 
 def split_volume(full: Volume, layout: SlabLayout) -> list[Volume]:
@@ -273,15 +265,13 @@ def split_volume(full: Volume, layout: SlabLayout) -> list[Volume]:
             f"volume has {full.dims[1]} slices, layout expects {layout.final_slices}"
         )
     geom = full.geometry
-    th = layout.slice_thickness_mm
     slabs = []
     for j in range(layout.num_slabs):
         owned = layout.owned_slices(j)
-        stride = int(owned[1] - owned[0]) if len(owned) > 1 else 1
-        shift = geom.axes @ np.array([0.0, owned[0] * th, 0.0])
+        shift, spacing = layout.slab_offset(j, geom.axes)
         sub = AffineGeometry(
             (geom.dims[0], len(owned), geom.dims[2]),
-            (geom.spacing[0], stride * th, geom.spacing[2]),
+            (geom.spacing[0], spacing, geom.spacing[2]),
             tuple(np.asarray(geom.origin) + shift),
             geom.axes,
         )
@@ -308,24 +298,18 @@ class AcquisitionPreset:
 
     name: str
     voxel_mm: tuple[float, float, float]
-    slices_per_slab: int
-    layout: SlabLayout | None  # None for single continuous (LR) slabs
+    layout: SlabLayout
     metadata: dict = field(default_factory=dict)
 
     @property
+    def slices_per_slab(self) -> int:
+        return self.layout.slices_per_slab
+
+    @property
     def final_slices(self) -> int:
-        if self.layout is None:
-            return self.slices_per_slab
         return self.layout.final_slices
 
     def build_layout(self) -> SlabLayout:
-        if self.layout is None:
-            return ContiguousLayout(
-                slices_per_slab=self.slices_per_slab,
-                slabs=1,
-                overlap_slices=0,
-                slice_thickness_mm=self.voxel_mm[1],
-            )
         return self.layout
 
 
@@ -343,37 +327,39 @@ def _meta(nb, time_per_slab, tr, te, angle, fov, matrix, bandwidth, turbo=None):
     }
 
 
-PRESETS: dict[str, AcquisitionPreset] = {
-    "ns_7t_32ch_t2w_contiguous": AcquisitionPreset(
-        "ns_7t_32ch_t2w_contiguous", (0.3, 1.2, 0.3), 23,
+PRESETS: dict[str, AcquisitionPreset] = {p.name: p for p in (
+    AcquisitionPreset(
+        "ns_7t_32ch_t2w_contiguous", (0.3, 1.2, 0.3),
         ContiguousLayout(23, slabs=2, overlap_slices=1, slice_thickness_mm=1.2),
         _meta(19, "5:00", 5000, 82.0, 60, "173x173", "576x576", 121, 9),
     ),
-    "ns_7t_32ch_t2w_interleaved": AcquisitionPreset(
-        "ns_7t_32ch_t2w_interleaved", (0.3, 1.2, 0.3), 23,
+    AcquisitionPreset(
+        "ns_7t_32ch_t2w_interleaved", (0.3, 1.2, 0.3),
         InterleavedLayout(23, slabs=2, slice_thickness_mm=1.2),
         _meta(37, "5:00", 5000, 82.0, 60, "173x173", "576x576", 121, 9),
     ),
-    "ns_7t_32ch_t2w_lr": AcquisitionPreset(
-        "ns_7t_32ch_t2w_lr", (0.3, 1.2, 0.6), 46, None,
+    AcquisitionPreset(
+        "ns_7t_32ch_t2w_lr", (0.3, 1.2, 0.6),
+        ContiguousLayout(46, slabs=1, overlap_slices=0, slice_thickness_mm=1.2),
         _meta(37, "4:50", 8000, 80.0, 60, "173x173", "311x576", 121, 9),
     ),
-    "ns_7t_32ch_t2star_gre3": AcquisitionPreset(
-        "ns_7t_32ch_t2star_gre3", (0.3, 1.2, 0.3), 15,
+    AcquisitionPreset(
+        "ns_7t_32ch_t2star_gre3", (0.3, 1.2, 0.3),
         InterleavedLayout(15, slabs=3, slice_thickness_mm=1.2),
         _meta(37, "12:00", 791, (16.0, 33.0), 65, "173x173", "576x576", (70, 70)),
     ),
-    "cmrr_7t_16ch_t2w_interleaved": AcquisitionPreset(
-        "cmrr_7t_16ch_t2w_interleaved", (0.25, 1.2, 0.25), 30,
+    AcquisitionPreset(
+        "cmrr_7t_16ch_t2w_interleaved", (0.25, 1.2, 0.25),
         InterleavedLayout(30, slabs=2, slice_thickness_mm=1.2),
         _meta(9, "5:04", 5830, 64.0, 60, "119x130", "472x512", 175, 9),
     ),
-    "cmrr_7t_16ch_t2w_lr": AcquisitionPreset(
-        "cmrr_7t_16ch_t2w_lr", (0.25, 1.2, 0.5), 60, None,
+    AcquisitionPreset(
+        "cmrr_7t_16ch_t2w_lr", (0.25, 1.2, 0.5),
+        ContiguousLayout(60, slabs=1, overlap_slices=0, slice_thickness_mm=1.2),
         _meta(9, "5:08", 11800, 64.0, 60, "119x130", "236x512", 175, 9),
     ),
-    "cmrr_7t_32ch_t2w_interleaved4": AcquisitionPreset(
-        "cmrr_7t_32ch_t2w_interleaved4", (0.25, 1.2, 0.25), 16,
+    AcquisitionPreset(
+        "cmrr_7t_32ch_t2w_interleaved4", (0.25, 1.2, 0.25),
         NestedLayout(
             (
                 InterleavedLayout(16, slabs=2, slice_thickness_mm=1.2),
@@ -383,11 +369,12 @@ PRESETS: dict[str, AcquisitionPreset] = {
         ),
         _meta(4, "5:37", 6000, 55.0, 120, "130x130", "512x512", 174, 9),
     ),
-    "cmrr_7t_32ch_t2w_lr": AcquisitionPreset(
-        "cmrr_7t_32ch_t2w_lr", (0.25, 1.2, 0.5), 62, None,
+    AcquisitionPreset(
+        "cmrr_7t_32ch_t2w_lr", (0.25, 1.2, 0.5),
+        ContiguousLayout(62, slabs=1, overlap_slices=0, slice_thickness_mm=1.2),
         _meta(4, "5:37", 12000, 54.0, 120, "130x130", "256x512", 174, 9),
     ),
-}
+)}
 
 
 def get_preset(name: str) -> AcquisitionPreset:

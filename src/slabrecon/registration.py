@@ -39,8 +39,6 @@ class JointHistogram:
     """B x B partial-volume weighted joint intensity histogram."""
 
     counts: np.ndarray
-    moving_range: tuple[float, float]
-    fixed_range: tuple[float, float]
     total_weight: float
 
     @property
@@ -209,8 +207,7 @@ class _MaskedNmiObjective:
         )
         counts = _accumulate(self.mov_bins.compress(inside), fixed_values,
                              *self.fixed_range, self.bins)
-        return JointHistogram(counts, self.moving_range, self.fixed_range,
-                              float(counts.sum()))
+        return JointHistogram(counts, float(counts.sum()))
 
     def __call__(self, transform: RigidTransform) -> float:
         """Returns NMI, or -inf when no masked voxel lands in-field."""

@@ -165,6 +165,7 @@ def test_slab_failing_in_a_worker_exits_3(pipeline_dirs, tmp_path, monkeypatch, 
             raise RegistrationFailed("metric not finite at the starting point")
         return RegistrationResult(RigidTransform.identity(), 2.0, (), 0)
 
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr("slabrecon.fusion.register_rigid", fail_slab_1)
     sim, _, _ = pipeline_dirs
     out = tmp_path / "rec"
@@ -229,6 +230,23 @@ def test_config_value_of_the_wrong_type_is_usage_error(pipeline_dirs, tmp_path, 
                                                        command, line):
     sim, _, _ = pipeline_dirs
     cfg = tmp_path / "typed.cfg"
+    cfg.write_text(line + "\n")
+    inputs = {
+        "reconstruct": ["--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz"),
+                        "--lr", str(sim / "lr.nii.gz")],
+        "simulate": [],
+    }[command]
+    code = main([command, *inputs, "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "simulate"])
+@pytest.mark.parametrize("line", ["bins = 4", "pyramid = [0]"])
+def test_config_value_out_of_range_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                  command, line):
+    sim, _, _ = pipeline_dirs
+    cfg = tmp_path / "range.cfg"
     cfg.write_text(line + "\n")
     inputs = {
         "reconstruct": ["--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz"),

@@ -153,6 +153,18 @@ def test_pad_slab_slice_count_mismatch():
         layout.owned_slices(2)
 
 
+@pytest.mark.parametrize("layout", [
+    InterleavedLayout(15, slabs=3),
+    ContiguousLayout(23, slabs=2, overlap_slices=1),
+    PRESETS["cmrr_7t_32ch_t2w_interleaved4"].layout,
+])
+def test_slab_index_out_of_range(layout):
+    k = layout.num_slabs
+    for j in (-1, k):
+        with pytest.raises(LayoutMismatch, match=rf"^slab index {j} out of range for {k} slabs$"):
+            layout.owned_slices(j)
+
+
 # --- splitting ---------------------------------------------------------------
 
 @pytest.mark.parametrize("layout", [

@@ -203,6 +203,7 @@ def test_slab_failing_in_a_worker_raises_for_the_lowest_slab(monkeypatch, failur
                                                              error, message):
     # slabs 1 and 2 both fail, each in its own forked worker
     layout, ds, center = _small_three_slab_dataset()
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr("slabrecon.fusion.register_rigid",
                         _failing_from_slab_1(center, failure))
     fds = _open_fds()
