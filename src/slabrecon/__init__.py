@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .geometry import AffineGeometry, RigidTransform, compose, invert, transform_deviation
-from .volume import InterpolationMethod, ResampleResult, Volume, resample, sample, sample_many
+from .volume import InterpolationMethod, Volume, resample
 from .layout import (
     AcquisitionPreset,
     ContiguousLayout,

@@ -30,7 +30,7 @@ from .layout import (
     resolve_layout,
 )
 from .nifti import read_volume, write_volume
-from .phantom import PhantomSpec, generate_phantom, phantom_geometry
+from .phantom import generate_phantom, phantom_geometry
 from .qc import compute_qc, load_rois, save_rois, shift_index
 from .registration import register_rigid
 from .reports import run_report, write_json
@@ -61,14 +61,8 @@ def _default_scenario(config: PipelineConfig, num_slabs: int, center) -> MotionS
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     layout, voxel = resolve_layout(config.layout)
-    spec = PhantomSpec(
-        length_mm=config.phantom_length_mm,
-        height_mm=config.phantom_height_mm,
-        body_width_mm=config.phantom_body_width_mm,
-        head_width_mm=config.phantom_head_width_mm,
-    )
     geometry = phantom_geometry(layout.final_slices, voxel, tuple(config.phantom_fov_mm))
-    phantom = generate_phantom(spec, geometry)
+    phantom = generate_phantom(config.phantom_spec(), geometry)
     scenario = _default_scenario(config, layout.num_slabs, phantom.volume.geometry.world_center())
     lr_spacing = (voxel[0], voxel[1], config.lr_inplane_factor * voxel[2])
     dataset = simulate_acquisition(

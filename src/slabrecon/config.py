@@ -22,6 +22,7 @@ from .registration import RegistrationConfig
 from .simulate import LR_INPLANE_FACTOR
 
 _NUMBER = (int, float)   # matched by type(), so that JSON true and false are no numbers
+_PHANTOM_SIZES = ("length_mm", "height_mm", "body_width_mm", "head_width_mm")
 
 
 @dataclass
@@ -56,6 +57,9 @@ class PipelineConfig:
         return RegistrationConfig(**{
             f.name: getattr(self, f.name) for f in dataclasses.fields(RegistrationConfig)
         })
+
+    def phantom_spec(self) -> PhantomSpec:
+        return PhantomSpec(**{k: getattr(self, "phantom_" + k) for k in _PHANTOM_SIZES})
 
     def scenario_transforms(self, num_slabs: int, center) -> list[RigidTransform]:
         if self.scenario is None:
@@ -139,8 +143,20 @@ def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConf
             _check_type(key, value)
             merged[key] = value
     config = PipelineConfig(**merged)
-    try:   # out-of-range registration values are config errors, whatever the command
+    # out-of-range values are config errors, whatever the command
+    try:
         config.registration_config()
     except InvalidInput as exc:
         raise ConfigError(f"configuration: {exc}") from None
+    try:
+        config.phantom_spec()
+    except InvalidInput as exc:
+        keys = ", ".join("phantom_" + k for k in _PHANTOM_SIZES)
+        raise ConfigError(f"configuration: {exc} ({keys})") from None
+    if config.noise_sigma_pct < 0:
+        raise ConfigError("configuration: noise_sigma_pct must be >= 0")
+    if len(config.phantom_fov_mm) != 2 or min(config.phantom_fov_mm) <= 0:
+        raise ConfigError("configuration: phantom_fov_mm takes two values > 0")
+    if config.lr_inplane_factor < 1:
+        raise ConfigError("configuration: lr_inplane_factor must be >= 1")
     return config

@@ -288,8 +288,8 @@ def prepare_reference(lr: Volume, hr_inplane: tuple[float, float]) -> Volume:
     if geom.spacing[0] < rx - 1e-9 or geom.spacing[2] < rz - 1e-9:
         raise InvalidInput("LR in-plane spacing must be >= the HR target spacing")
     target = geom.with_spacing((rx, geom.spacing[1], rz))
-    return resample(lr, target, RigidTransform.identity(),
-                    InterpolationMethod.CubicBSpline).volume
+    return resample([lr], target, RigidTransform.identity(),
+                    InterpolationMethod.CubicBSpline)[0]
 
 
 @dataclass(frozen=True)

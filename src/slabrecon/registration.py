@@ -24,7 +24,7 @@ from scipy import ndimage
 from .errors import EmptyOverlap, InvalidInput, RegistrationFailed
 from .geometry import AffineGeometry, RigidTransform, index_map, invert
 from .layout import PaddedSlab
-from .volume import InterpolationMethod, Volume, in_field, resample_all
+from .volume import InterpolationMethod, Volume, in_field, resample
 
 _NMI_SLACK = 1e-9
 
@@ -40,10 +40,6 @@ class JointHistogram:
 
     counts: np.ndarray
     total_weight: float
-
-    @property
-    def bins(self) -> int:
-        return self.counts.shape[0]
 
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         return self.counts.sum(axis=1), self.counts.sum(axis=0)
@@ -169,11 +165,9 @@ class _MaskedNmiObjective:
         if not sel.any():
             raise EmptyOverlap("mask selects no voxels")
         values = moving.data[sel]
-        self.moving_range = (float(values.min()), float(values.max()))
+        moving_range = (float(values.min()), float(values.max()))
         self.fixed_range = fixed.value_range()
-        self.mov_bins = np.rint(
-            _bin_coordinates(values, *self.moving_range, bins)
-        ).astype(np.int64)
+        self.mov_bins = np.rint(_bin_coordinates(values, *moving_range, bins)).astype(np.int64)
         self.index = np.array(np.nonzero(sel), dtype=float)  # (3, N) moving voxel indices
         self.moving_geometry = moving.geometry
         self.fixed = fixed
@@ -332,6 +326,5 @@ def apply_result(padded: PaddedSlab, result: RegistrationResult,
     is unusable here: on null-slice combs its coefficients ring and the
     signal/mask reads no longer cancel.
     """
-    signal, mask = resample_all([padded.signal, padded.mask], reference_geometry,
-                                invert(result.transform), InterpolationMethod.Trilinear)
-    return signal.volume, mask.volume
+    return tuple(resample([padded.signal, padded.mask], reference_geometry,
+                          invert(result.transform), InterpolationMethod.Trilinear))

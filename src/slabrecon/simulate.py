@@ -96,11 +96,8 @@ class SimulatedDataset:
     ground_truth: Volume
     slabs: tuple
     lr: Volume
-    truth_transforms: tuple
     layout: SlabLayout
     rois: dict = field(default_factory=dict)
-    seed: int = 0
-    noise_sigma: float = 0.0
 
 
 def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
@@ -143,10 +140,8 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
         else:
             # the anatomy does not stop at the grid edge: extend by mirror
             # continuation so motion never drags void into the slab planes
-            moved = resample(
-                truth, truth.geometry, invert(transform),
-                InterpolationMethod.CubicBSpline, extend=True,
-            ).volume
+            [moved] = resample([truth], truth.geometry, invert(transform),
+                               InterpolationMethod.CubicBSpline, extend=True)
             # the scanner records magnitudes: clamp interpolation undershoot
             moved = moved.with_data(np.abs(moved.data))
         slab = split_volume(moved, layout)[j]
@@ -156,8 +151,8 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
         g = truth.geometry
         lr_spacing = (g.spacing[0], g.spacing[1], LR_INPLANE_FACTOR * g.spacing[2])
     lr_geom = truth.geometry.with_spacing(lr_spacing)
-    lr = resample(truth, lr_geom, RigidTransform.identity(),
-                  InterpolationMethod.CubicBSpline, extend=True).volume
+    [lr] = resample([truth], lr_geom, RigidTransform.identity(),
+                    InterpolationMethod.CubicBSpline, extend=True)
     lr = lr.with_data(np.abs(lr.data))
     lr = rician_noise(lr, sigma, seed=_derive_seed(seed, 1000))
 
@@ -165,11 +160,8 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
         ground_truth=truth,
         slabs=tuple(slabs),
         lr=lr,
-        truth_transforms=tuple(scenario.transforms),
         layout=layout,
         rois=dict(rois or {}),
-        seed=seed,
-        noise_sigma=sigma,
     )
 
 

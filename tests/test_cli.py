@@ -242,7 +242,10 @@ def test_config_value_of_the_wrong_type_is_usage_error(pipeline_dirs, tmp_path, 
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "simulate"])
-@pytest.mark.parametrize("line", ["bins = 4", "pyramid = [0]"])
+@pytest.mark.parametrize("line", [
+    "bins = 4", "pyramid = [0]", "noise_sigma_pct = -1", "phantom_fov_mm = [0, 0]",
+    "phantom_head_width_mm = 5.0", "lr_inplane_factor = 0.5",
+])
 def test_config_value_out_of_range_is_usage_error(pipeline_dirs, tmp_path, capsys,
                                                   command, line):
     sim, _, _ = pipeline_dirs

@@ -11,9 +11,8 @@ from slabrecon import (
     Volume,
     invert,
     resample,
-    sample,
-    sample_many,
 )
+from slabrecon.volume import in_field
 
 METHODS = list(InterpolationMethod)
 
@@ -26,57 +25,67 @@ def random_volume(seed=0, dims=(9, 7, 8), spacing=(0.3, 1.2, 0.3)):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_interpolation_reproduces_nodes(method):
+    # the interior nodes as a grid of their own: every output voxel lands on
+    # an input node, and the identity shortcut is not taken
     vol = random_volume()
-    nx, ny, nz = vol.dims
-    ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
-    idx = np.column_stack([ix.ravel(), iy.ravel(), iz.ravel()]).astype(float)
-    values, in_field = sample_many(vol, vol.geometry.index_to_world(idx), method)
-    assert in_field.all()
-    rel = np.abs(values - vol.data.ravel()) / np.abs(vol.data.ravel())
+    g = vol.geometry
+    interior = AffineGeometry(tuple(d - 2 for d in g.dims), g.spacing,
+                              tuple(g.index_to_world([[1, 1, 1]])[0]), g.axes)
+    [out] = resample([vol], interior, RigidTransform.identity(), method)
+    expected = vol.data[1:-1, 1:-1, 1:-1]
+    rel = np.abs(out.data - expected) / np.abs(expected)
     assert rel.max() <= 1e-6
 
 
 def test_constant_volume_partition_of_unity():
     g = AffineGeometry((8, 8, 8), (1.0, 1.0, 1.0))
     vol = Volume(g, np.full((8, 8, 8), 7.5))
-    rng = np.random.default_rng(1)
-    pts = vol.geometry.index_to_world(rng.uniform(1.0, 6.0, size=(200, 3)))
-    values, _ = sample_many(vol, pts, InterpolationMethod.CubicBSpline)
-    assert np.abs(values - 7.5).max() <= 1e-6
+    # off-node samples at indices 1.3 .. 5.9 on a finer, shifted grid
+    target = AffineGeometry((12, 12, 12), (0.4, 0.4, 0.4), (1.3, 1.3, 1.3))
+    [out] = resample([vol], target, RigidTransform.identity(),
+                     InterpolationMethod.CubicBSpline)
+    assert np.abs(out.data - 7.5).max() <= 1e-6
+
+
+def test_one_voxel_shift_matches_index_oracle():
+    # independent oracle: shifting the sampling grid by exactly one voxel
+    # must equal an array index shift
+    vol = random_volume(seed=3, dims=(10, 6, 7), spacing=(0.5, 1.0, 0.5))
+    shift = RigidTransform(translation=(0.5, 0.0, 0.0))  # +1 voxel along x
+    expected = vol.data[1:]  # pull-style: output x takes input x+1
+    for method in METHODS:
+        [out] = resample([vol], vol.geometry, shift, method)
+        rel = np.abs(out.data[:-1] - expected) / np.abs(expected)
+        assert rel.max() <= 1e-12
+        assert np.all(out.data[-1] == 0.0)  # x = n lies beyond the hull
 
 
 def test_trilinear_reproduces_ramp():
     g = AffineGeometry((6, 4, 4), (1.0, 1.0, 1.0))
     ramp = np.broadcast_to(np.arange(6.0)[:, None, None], (6, 4, 4))
     vol = Volume(g, np.array(ramp))
-    value, in_field = sample(vol, g.index_to_world([[2.25, 1.0, 2.0]])[0],
-                             InterpolationMethod.Trilinear)
-    assert in_field
-    assert abs(value - 2.25) <= 1e-9
+    shift = RigidTransform(translation=(0.25, 0.0, 0.0))
+    [out] = resample([vol], g, shift, InterpolationMethod.Trilinear)
+    assert np.abs(out.data[:-1] - (ramp[:-1] + 0.25)).max() <= 1e-9
 
 
 def test_out_of_field_returns_fill_and_indicator():
     vol = random_volume()
-    far = vol.geometry.index_to_world([[-5.0, 0.0, 0.0]])[0]
-    value, in_field = sample(vol, far, InterpolationMethod.Trilinear)
-    assert not in_field
-    assert value == 0.0
-    value, _ = sample(vol, far, InterpolationMethod.Trilinear, out_value=-1.0)
-    assert value == -1.0
-
-
-def test_non_finite_point_rejected():
-    vol = random_volume()
-    with pytest.raises(InvalidInput):
-        sample(vol, (np.nan, 0.0, 0.0), InterpolationMethod.Trilinear)
+    g = vol.geometry
+    far = RigidTransform(translation=(-5.0 - g.dims[0] * g.spacing[0], 0.0, 0.0))
+    voxels = np.indices(g.dims, dtype=float).reshape(3, -1).T
+    moved = g.world_to_index(far.apply(g.index_to_world(voxels)))
+    assert not in_field(moved.T, g.dims).any()
+    for method in METHODS:
+        [out] = resample([vol], g, far, method)
+        assert np.all(out.data == 0.0)
 
 
 def test_resample_identity_is_exact():
     vol = random_volume()
-    out = resample(vol, vol.geometry, RigidTransform.identity(),
-                   InterpolationMethod.Trilinear)
-    assert np.array_equal(out.volume.data, vol.data)
-    assert out.in_field_count == vol.geometry.n_voxels
+    [out] = resample([vol], vol.geometry, RigidTransform.identity(),
+                     InterpolationMethod.Trilinear)
+    assert np.array_equal(out.data, vol.data)
 
 
 def test_resample_degenerate_target_rejected():
@@ -86,21 +95,41 @@ def test_resample_degenerate_target_rejected():
     bad = AffineGeometry((4, 4, 4), (1, 1, 1))
     object.__setattr__(bad, "dims", (0, 4, 4))  # bypass constructor validation
     with pytest.raises(InvalidInput):
-        resample(vol, bad, RigidTransform.identity(), InterpolationMethod.Trilinear)
+        resample([vol], bad, RigidTransform.identity(), InterpolationMethod.Trilinear)
 
 
-def test_nearest_neighbor_one_voxel_shift_matches_index_oracle():
-    # independent oracle: shifting the sampling grid by exactly one voxel
-    # must equal an array index shift
-    vol = random_volume(seed=3, dims=(10, 6, 7), spacing=(0.5, 1.0, 0.5))
-    shift = RigidTransform(translation=(0.5, 0.0, 0.0))  # +1 voxel along x
-    out = resample(vol, vol.geometry, shift, InterpolationMethod.NearestNeighbor).volume
-    expected = np.zeros_like(vol.data)
-    expected[:-1] = vol.data[1:]  # pull-style: output x takes input x+1
-    in_field = np.ones(vol.dims, dtype=bool)
-    in_field[-1] = False
-    assert np.array_equal(out.data[in_field], expected[in_field])
-    assert np.all(out.data[~in_field] == 0.0)
+@pytest.mark.parametrize("method", METHODS)
+def test_volumes_resampled_together_equal_each_alone(method):
+    a, b = random_volume(seed=1), random_volume(seed=2)
+    target = a.geometry.with_spacing((0.2, 1.2, 0.25))
+    t = RigidTransform(rotation=(0.03, -0.02, 0.05), translation=(0.2, -0.4, 0.1),
+                       center=tuple(a.geometry.world_center()))
+    together = resample([a, b], target, t, method)
+    alone = [resample([v], target, t, method)[0] for v in (a, b)]
+    for joint, single in zip(together, alone, strict=True):
+        assert joint.geometry is target
+        assert np.array_equal(joint.data, single.data)
+
+
+def test_volumes_on_different_grids_rejected():
+    a = random_volume()
+    b = random_volume(spacing=(0.3, 1.2, 0.6))
+    with pytest.raises(InvalidInput, match="share a grid"):
+        resample([a, b], a.geometry, RigidTransform.identity(),
+                 InterpolationMethod.Trilinear)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_extend_mirrors_past_the_hull(method):
+    vol = random_volume()
+    g = vol.geometry
+    shift = RigidTransform(translation=(3 * g.spacing[0], 0.0, 0.0))  # +3 voxels along x
+    [cut] = resample([vol], g, shift, method)
+    [mirrored] = resample([vol], g, shift, method, extend=True)
+    # output x takes input x + 3, beyond the hull n - 0.5 for the last 3 planes
+    assert np.all(cut.data[-3:] == 0.0)
+    assert np.all(mirrored.data[-3:] > 0.0)
+    assert np.array_equal(mirrored.data[:-3], cut.data[:-3])
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,7 +141,7 @@ def test_constant_invariance_under_rigid_transform(rot, trans):
     g = AffineGeometry((12, 10, 12), (1.0, 1.0, 1.0))
     vol = Volume(g, np.full((12, 10, 12), 5.0))
     t = RigidTransform(rotation=rot, translation=trans, center=tuple(g.world_center()))
-    out = resample(vol, g, t, InterpolationMethod.CubicBSpline).volume
+    [out] = resample([vol], g, t, InterpolationMethod.CubicBSpline)
     interior = out.data[3:-3, 3:-3, 3:-3]
     assert np.abs(interior - 5.0).max() <= 1e-6
 
@@ -126,11 +155,11 @@ def test_rigid_round_trip_on_smooth_phantom():
     vol = Volume(g, blob)
     t = RigidTransform(rotation=(0.05, -0.04, 0.06), translation=(1.5, -1.0, 0.8),
                        center=tuple(g.world_center()))
-    fwd = resample(vol, g, t, InterpolationMethod.CubicBSpline)
-    back = resample(fwd.volume, g, invert(t), InterpolationMethod.CubicBSpline)
+    [fwd] = resample([vol], g, t, InterpolationMethod.CubicBSpline)
+    [back] = resample([fwd], g, invert(t), InterpolationMethod.CubicBSpline)
     # doubly in-field region only
     inner = np.s_[4:-4, 4:-4, 4:-4]
-    diff = back.volume.data[inner] - vol.data[inner]
+    diff = back.data[inner] - vol.data[inner]
     rmse = np.sqrt((diff ** 2).mean())
     assert rmse <= 0.02 * (blob.max() - blob.min())
 
@@ -141,19 +170,11 @@ def test_volume_rejects_non_finite_and_bad_shape():
         Volume(g, np.full((3, 3, 3), np.nan))
     with pytest.raises(InvalidInput):
         Volume(g, np.zeros((2, 3, 3)))
+    with pytest.raises(InvalidInput, match="does not match dims"):
+        Volume(g, np.zeros(27))
 
 
 def test_volume_data_is_immutable():
     vol = random_volume()
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1.0
-
-
-def test_flat_order_x_fastest():
-    g = AffineGeometry((2, 2, 2), (1, 1, 1))
-    vol = Volume(g, np.arange(8.0).reshape(2, 2, 2))
-    flat = vol.flat()
-    assert flat[0] == vol.data[0, 0, 0]
-    assert flat[1] == vol.data[1, 0, 0]
-    rebuilt = Volume(g, flat)
-    assert np.array_equal(rebuilt.data, vol.data)
