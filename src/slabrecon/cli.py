@@ -132,7 +132,8 @@ def cmd_reconstruct(args) -> int:
         registrations=[r.to_dict() for r in results],
         fusion=fusion.to_dict(),
         qc={"shift_preregistration": shift.to_dict() if shift else None},
-        timing_s={"total": time.perf_counter() - t_start},
+        timing_s={"total": time.perf_counter() - t_start,
+                  "register_s": [r.seconds for r in results]},
     )
     write_json(report_path, report)
 

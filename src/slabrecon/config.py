@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInput
 from .fusion import DEFAULT_EPSILON
 from .geometry import RigidTransform
+from .layout import resolve_layout
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
@@ -159,4 +160,9 @@ def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConf
         raise ConfigError("configuration: phantom_fov_mm takes two values > 0")
     if config.lr_inplane_factor < 1:
         raise ConfigError("configuration: lr_inplane_factor must be >= 1")
+    # the phantom grid has round(fov / voxel) columns along x and z
+    _, (sx, _, sz) = resolve_layout(config.layout)
+    if any(round(fov / s) < 1 for fov, s in zip(config.phantom_fov_mm, (sx, sz))):
+        raise ConfigError(f"configuration: phantom_fov_mm {config.phantom_fov_mm} is under "
+                          f"one {sx} x {sz} mm voxel of layout {config.layout!r}")
     return config

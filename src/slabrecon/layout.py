@@ -211,6 +211,8 @@ def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
             sx, sy, sz = (float(v) for v in spec.get("voxel_mm", default))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout file {name}: voxel_mm is not 3 numbers ({exc})") from None
+        if min(sx, sy, sz) <= 0:
+            raise ConfigError(f"layout file {name}: voxel_mm must be > 0, got {sx} x {sy} x {sz}")
         return layout, (sx, sy, sz)
     preset = get_preset(name)
     return preset.layout, preset.voxel_mm

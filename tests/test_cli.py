@@ -259,3 +259,30 @@ def test_config_value_out_of_range_is_usage_error(pipeline_dirs, tmp_path, capsy
     code = main([command, *inputs, "--out", str(tmp_path / "out"), "--config", str(cfg)])
     assert code == 2
     assert line.split(" =")[0] in capsys.readouterr().err
+
+
+def test_reconstruct_report_times_each_registration(pipeline_dirs):
+    # slab 1 registers in a forked worker when there are 2 CPUs: its time comes back too
+    _, rec, _ = pipeline_dirs
+    register_s = read_json(rec / "report.json")["timing_s"]["register_s"]
+    assert len(register_s) == 2
+    assert all(seconds > 0 for seconds in register_s)
+
+
+def test_phantom_fov_under_one_voxel_is_usage_error(tmp_path, capsys):
+    # 0.1 mm / 0.3 mm rounds to 0 phantom columns
+    cfg = tmp_path / "fov.cfg"
+    cfg.write_text("phantom_fov_mm = [0.1, 0.1]\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert "phantom_fov_mm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("voxel", [[0, 1.2, 0.3], [0.3, -1.2, 0.3]])
+def test_layout_file_voxel_not_positive_is_usage_error(tmp_path, capsys, voxel):
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(json.dumps({"kind": "interleaved", "slices_per_slab": 4,
+                                       "voxel_mm": voxel}))
+    code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
+    assert code == 2
+    assert "voxel_mm" in capsys.readouterr().err

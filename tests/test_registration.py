@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from slabrecon import (
     AffineGeometry,
@@ -24,7 +25,15 @@ from slabrecon import (
     simulate_acquisition,
     transform_deviation,
 )
-from slabrecon.registration import RegistrationResult, _compass_search
+from slabrecon.geometry import index_map
+from slabrecon.registration import (
+    RegistrationResult,
+    _accumulate,
+    _compass_search,
+    _MaskedNmiObjective,
+    _trilinear,
+)
+from slabrecon.volume import in_field
 
 FAST_CONFIG = RegistrationConfig(pyramid=(2, 1), max_iterations=25, step_halvings=3)
 
@@ -111,6 +120,66 @@ def test_noise_marginal_entropy_matches_bruteforce_oracle():
     for k in np.rint(c).astype(int):
         full_counts[k] += 1
     assert np.abs(pa - full_counts).max() <= 1e-6
+
+
+# --- the objective's trilinear read -----------------------------------------
+
+def random_pair(seed=0, dims=(11, 7, 13), spacing=(0.5, 1.2, 0.4)):
+    """Moving and fixed noise on one non-cubic grid, and a mask that leaves
+    a two-voxel border out."""
+    rng = np.random.default_rng(seed)
+    g = AffineGeometry(dims, spacing)
+    mask = np.zeros(dims)
+    mask[2:-2, 2:-2, 2:-2] = rng.uniform(0, 1, (dims[0] - 4, dims[1] - 4, dims[2] - 4)) > 0.3
+    return (Volume(g, rng.normal(0, 10, dims)), Volume(g, rng.normal(0, 10, dims)),
+            Volume(g, mask))
+
+
+def test_trilinear_read_is_map_coordinates_nearest_bit_for_bit():
+    moving, fixed, mask = random_pair()
+    objective = _MaskedNmiObjective(moving, mask, fixed, 64)
+    dims = np.array(fixed.dims)
+    rng = np.random.default_rng(1)
+    hull = rng.uniform(-0.5, dims[:, None] - 0.5, (3, 20000))
+    # indices in [0, 0.5) with all 53 bits set: there 1 - (1 - f) differs from f
+    fine = rng.uniform(0, 1, (3, 2000)) ** 3 / 2
+    points = [hull, fine, rng.integers(0, dims[:, None], (3, 500)).astype(float)]
+    for axis in range(3):   # each axis at both hull ends, the others anywhere
+        for end in (-0.5, dims[axis] - 0.5):
+            edge = rng.uniform(-0.5, dims[:, None] - 0.5, (3, 200))
+            edge[axis] = end
+            points.append(edge)
+    points.append(np.array([[-0.5, -0.5, -0.5], dims - 0.5]).T)   # the two hull corners
+    idx = np.concatenate(points, axis=1)
+    assert in_field(idx, fixed.dims).all()
+    got = _trilinear(objective.fixed_flat, objective.fixed_corners, idx)
+    want = ndimage.map_coordinates(fixed.data, idx, order=1, mode="nearest")
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pose, overlap", [
+    (RigidTransform(rotation=(0.01, -0.02, 0.015), translation=(0.2, -0.3, 0.1),
+                    center=(2.5, 3.6, 2.4)), "full"),
+    (RigidTransform(rotation=(0.0, 0.05, 0.0), translation=(2.9, 1.3, -1.1),
+                    center=(2.5, 3.6, 2.4)), "partial"),
+    (RigidTransform(translation=(40.0, 0.0, 0.0)), "none"),
+])
+def test_objective_histogram_is_the_map_coordinates_histogram(pose, overlap, stride):
+    moving, fixed, mask = random_pair()
+    objective = _MaskedNmiObjective(moving, mask, fixed, 64).at_stride(stride)
+    m = index_map(moving.geometry, pose, fixed.geometry)
+    idx = m[:, :3] @ objective.index + m[:, 3:]
+    inside = in_field(idx, fixed.dims)
+    assert {"full": inside.all(), "partial": 0 < inside.sum() < inside.size,
+            "none": not inside.any()}[overlap]
+    h = objective.histogram(pose)
+    if overlap == "none":
+        assert h is None
+        return
+    values = ndimage.map_coordinates(fixed.data, idx[:, inside], order=1, mode="nearest")
+    want = _accumulate(objective.mov_base[inside], values, *fixed.value_range(), 64)
+    assert np.array_equal(h.counts.view(np.int64), want.view(np.int64))
 
 
 # --- NMI ---------------------------------------------------------------------

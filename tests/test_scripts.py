@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -52,3 +53,33 @@ def test_motion_recovery_sweep_registers_every_nested_slab(tmp_path):
                for line in lines)
     summary = json.loads(summary_path.read_text())
     assert summary["moved"]["slabs"] == 1 and summary["motionless"]["slabs"] == 3
+
+
+def test_output_digest_hashes_files_and_reports_without_timing(tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = tmp_path / "out"
+    (out / "qc").mkdir(parents=True)
+    volume, qc = b"\x1f\x8b volume bytes", b'{"qc": {}}\n'
+    (out / "fused.nii.gz").write_bytes(volume)
+    (out / "qc" / "qc.json").write_bytes(qc)
+    report = {"tool": "slabrecon", "fusion": {"uncovered_fraction": 0.0}}
+
+    def digest(seconds):
+        (out / "report.json").write_text(json.dumps(dict(report, timing_s={"total": seconds})))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py"), str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    lines = digest(1.5)
+    assert lines == digest(2.5)   # only timing_s changed
+    stripped = (json.dumps(dict(report, timing_s={}), indent=2, sort_keys=True) + "\n").encode()
+    sha = [hashlib.sha256(data).hexdigest() for data in (volume, qc, stripped)]
+    assert lines == [
+        f"{sha[0]}  fused.nii.gz",
+        f"{sha[1]}  qc/qc.json",
+        f"{sha[2]}  report.json (timing_s stripped)",
+    ]
