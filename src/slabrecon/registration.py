@@ -12,6 +12,9 @@ corner voxels inside the copy, so the read needs no bounds check, and the
 padding gives the values of ``ndimage``'s "nearest" mode in the outer
 half-voxel band. The arithmetic follows ``ndimage.map_coordinates(order=1)``
 step by step, so the values, and the NMI, are the same to the bit.
+Samples mapped out of the field are read at the nearest hull point and
+binned with zero weight, not removed: ``bincount`` sums in input order and
+``x + 0.0 == x``, so the counts have the bits of the in-field samples alone.
 
 The optimizer is a deterministic derivative-free compass search over
 (tx, ty, tz, rx, ry, rz): axis steps only, greedy per parameter, with
@@ -71,22 +74,33 @@ def _entropy_bits(p: np.ndarray) -> float:
 
 
 def _bin_coordinates(values: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    """Fractional bins in ``[0, bins - 1]``, scaled in place in ``values`` unless ``hi <= lo``."""
     if hi <= lo:
         return np.zeros(values.shape)
-    return np.clip((values - lo) / (hi - lo), 0.0, 1.0) * (bins - 1)
+    values -= lo
+    values /= hi - lo
+    np.clip(values, 0.0, 1.0, out=values)
+    values *= bins - 1
+    return values
 
 
-def _accumulate(mov_base, fixed_values, fixed_lo, fixed_hi, bins) -> np.ndarray:
+def _accumulate(mov_base, fixed_values, fixed_lo, fixed_hi, bins, inside=None) -> np.ndarray:
     """Hard binning on the moving side, linear partial-volume on the fixed side.
 
     ``mov_base`` is each sample's moving bin times ``bins``: its row offset.
+    ``fixed_values`` is binned in place; samples not ``inside`` get zero weight.
     """
     c = _bin_coordinates(fixed_values, fixed_lo, fixed_hi, bins)
-    k = np.floor(c).astype(np.int64)
-    f = c - k
-    k2 = np.minimum(k + 1, bins - 1)
-    counts = np.bincount(mov_base + k, weights=1.0 - f, minlength=bins * bins)
-    counts += np.bincount(mov_base + k2, weights=f, minlength=bins * bins)
+    low = np.floor(c)
+    f = np.subtract(c, low, out=c)   # the weight of the bin above
+    w = 1.0 - f
+    if inside is not None:
+        w[~inside] = 0.0
+        f[~inside] = 0.0
+    k = mov_base + low.astype(np.int64)
+    counts = np.bincount(k, weights=w, minlength=bins * bins)
+    k += low < bins - 1   # the bin above, or the top bin itself
+    counts += np.bincount(k, weights=f, minlength=bins * bins)
     return counts.reshape(bins, bins)
 
 
@@ -105,23 +119,23 @@ def _trilinear(flat, corners, idx) -> np.ndarray:
     """
     out = np.empty(idx.shape[1])
     sx, sy = corners[4], corners[2]   # the padded strides of x and y; z's is 1
+    buffer = np.empty(min(_READ_CHUNK, idx.shape[1]))   # reused by every chunk
     for start in range(0, idx.shape[1], _READ_CHUNK):
         part = idx[:, start:start + _READ_CHUNK]
         low = np.floor(part)
         w0 = 1.0 - (part - low)
         weights = (w0, 1.0 - w0)
-        cells = low.astype(np.intp)
-        base = (cells[0] + 1) * sx + (cells[1] + 1) * sy + (cells[2] + 1)
+        # exact in floating point: small whole numbers; + 1 voxel of padding per axis
+        base = (low[0] * sx + low[1] * sy + low[2] + (sx + sy + 1)).astype(np.intp)
         acc = out[start:start + _READ_CHUNK]
-        for k, offset in enumerate(corners):
-            term = flat.take(base + offset)
-            term *= weights[k >> 2][0]
-            term *= weights[(k >> 1) & 1][1]
-            term *= weights[k & 1][2]
+        for k, offset in enumerate(corners):   # one view of the image per corner
+            target = buffer[:acc.size] if k else acc
+            flat[offset:].take(base, out=target, mode="clip")   # unbuffered; none is clipped
+            target *= weights[k >> 2][0]
+            target *= weights[(k >> 1) & 1][1]
+            target *= weights[k & 1][2]
             if k:
-                acc += term
-            else:
-                acc[:] = term
+                acc += target
     return out
 
 
@@ -163,6 +177,8 @@ class RegistrationConfig:
             raise InvalidInput("need at least 8 bins")
         if len(self.pyramid) < 1 or any(s < 1 for s in self.pyramid):
             raise InvalidInput("pyramid strides must be >= 1")
+        if self.max_iterations < 1 or self.step_halvings < 0:
+            raise InvalidInput("max_iterations must be >= 1 and step_halvings >= 0")
         object.__setattr__(self, "pyramid", tuple(int(s) for s in self.pyramid))
 
 
@@ -202,7 +218,8 @@ class _MaskedNmiObjective:
     its row offset in the histogram) and the in-plane stride subset
     (``at_stride``). The fixed image is kept flat and edge-padded by one
     voxel, with the flat offsets of the 8 corners of a trilinear cell, for
-    ``_trilinear``; the stride subsets share them.
+    ``_trilinear``; the stride subsets share them. Samples that land out of
+    the field are binned with zero weight, which keeps the counts' bits.
     """
 
     def __init__(self, moving: Volume, mask: Volume, fixed: Volume, bins: int):
@@ -245,17 +262,20 @@ class _MaskedNmiObjective:
     def histogram(self, transform: RigidTransform) -> JointHistogram | None:
         """Joint histogram at ``transform``; None when no sample lands in-field."""
         m = index_map(self.moving_geometry, transform, self.fixed_geometry)
-        idx = m[:, :3] @ self.index + m[:, 3:]
+        idx = m[:, :3] @ self.index
+        idx += m[:, 3:]
         inside = in_field(idx, self.fixed_geometry.dims)
-        if not inside.any():
+        if inside.all():
+            inside = None
+        elif not inside.any():
             return None
+        else:   # read out-of-field samples at the nearest hull point; they get zero weight
+            np.clip(idx, -0.5, np.asarray(self.fixed_geometry.dims)[:, None] - 0.5, out=idx)
         # the edge padding reproduces ndimage's "nearest" mode, unlike the
         # mirror mode of resampling: the two differ in the outer half-voxel
         # band, and the NMI values depend on it
-        fixed_values = _trilinear(self.fixed_flat, self.fixed_corners,
-                                  idx.compress(inside, axis=1))
-        counts = _accumulate(self.mov_base.compress(inside), fixed_values,
-                             *self.fixed_range, self.bins)
+        fixed_values = _trilinear(self.fixed_flat, self.fixed_corners, idx)
+        counts = _accumulate(self.mov_base, fixed_values, *self.fixed_range, self.bins, inside)
         return JointHistogram(counts, float(counts.sum()))
 
     def __call__(self, transform: RigidTransform) -> float:

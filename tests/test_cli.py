@@ -261,6 +261,26 @@ def test_config_value_out_of_range_is_usage_error(pipeline_dirs, tmp_path, capsy
     assert line.split(" =")[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "register"])
+@pytest.mark.parametrize("line", ["max_iterations = 0", "max_iterations = -3",
+                                  "step_halvings = -2"])
+def test_search_budget_out_of_range_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                   command, line):
+    # no sweep, or a negative halving budget, would skip registration and exit 0
+    sim, _, _ = pipeline_dirs
+    cfg = tmp_path / "search.cfg"
+    cfg.write_text(line + "\n")
+    inputs = {
+        "reconstruct": ["--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz")],
+        "register": ["--slab", str(sim / "slab_01.nii.gz"), "--slab-index", "1"],
+    }[command]
+    code = main([command, *inputs, "--lr", str(sim / "lr.nii.gz"),
+                 "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reconstruct_report_times_each_registration(pipeline_dirs):
     # slab 1 registers in a forked worker when there are 2 CPUs: its time comes back too
     _, rec, _ = pipeline_dirs

@@ -182,6 +182,68 @@ def test_objective_histogram_is_the_map_coordinates_histogram(pose, overlap, str
     assert np.array_equal(h.counts.view(np.int64), want.view(np.int64))
 
 
+def plane_mask_pair(seed=0, dims=(12, 10, 14), spacing=(0.5, 1.0, 0.25)):
+    """Moving and fixed noise, and a mask of whole odd y planes, as ``pad_slab``
+    gives an interleaved slab; the top plane is one of them. The spacings are
+    powers of two, so half-voxel translations map to exact half indices."""
+    rng = np.random.default_rng(seed)
+    g = AffineGeometry(dims, spacing)
+    mask = np.zeros(dims)
+    mask[:, 1::2, :] = 1.0
+    return (Volume(g, rng.normal(0, 10, dims)), Volume(g, rng.normal(0, 10, dims)),
+            Volume(g, mask))
+
+
+def reference_histogram(moving, fixed, mask, pose, bins):
+    """The objective's histogram from its definition: masked voxels that map
+    in-field, the reference read by ``map_coordinates``, hard moving bins and
+    linear partial-volume fixed bins."""
+    sel = mask.data >= 0.5
+    idx = np.array(np.nonzero(sel), dtype=float)
+    m = index_map(moving.geometry, pose, fixed.geometry)
+    idx = m[:, :3] @ idx + m[:, 3:]
+    inside = in_field(idx, fixed.dims)
+    values = ndimage.map_coordinates(fixed.data, idx.compress(inside, axis=1),
+                                     order=1, mode="nearest")
+    mov = moving.data[sel]   # its range is over every masked voxel
+    rows = np.rint(np.clip((mov - mov.min()) / (mov.max() - mov.min()), 0.0, 1.0) * (bins - 1))
+    rows = rows.astype(np.int64).compress(inside) * bins
+    lo, hi = fixed.data.min(), fixed.data.max()
+    c = np.clip((values - lo) / (hi - lo), 0.0, 1.0) * (bins - 1)
+    k = np.floor(c).astype(np.int64)
+    f = c - k
+    k2 = np.minimum(k + 1, bins - 1)
+    counts = np.bincount(rows + k, weights=1.0 - f, minlength=bins * bins)
+    counts += np.bincount(rows + k2, weights=f, minlength=bins * bins)
+    return counts.reshape(bins, bins), idx, inside
+
+
+@pytest.mark.parametrize("pose_name", ["in-field", "benchmark motion", "on the hull"])
+def test_objective_histogram_with_plane_mask_is_the_reference_histogram(pose_name):
+    moving, fixed, mask = plane_mask_pair()
+    center = tuple(fixed.geometry.world_center())
+    half = np.array(fixed.geometry.spacing) / 2
+    pose = {
+        "in-field": RigidTransform(rotation=(0.0, 0.004, 0.0), translation=(0.1, 0.0, 0.0),
+                                   center=center),
+        "benchmark motion": RigidTransform(rotation=(np.radians(1.5), 0.0, 0.0),
+                                           translation=(0.0, 0.0, 0.6), center=center),
+        # x half a voxel down, y a whole voxel up (the top plane leaves), z half up
+        "on the hull": RigidTransform(translation=(-half[0], 2 * half[1], half[2])),
+    }[pose_name]
+    want, idx, inside = reference_histogram(moving, fixed, mask, pose, 64)
+    hull_hi = np.array(fixed.dims)[:, None] - 0.5
+    if pose_name == "in-field":
+        assert inside.all()
+    else:
+        assert 0 < inside.sum() < inside.size
+    if pose_name == "on the hull":
+        assert (idx[0] == -0.5).any() and (idx[2] == hull_hi[2]).any()
+    h = _MaskedNmiObjective(moving, mask, fixed, 64).histogram(pose)
+    assert np.array_equal(h.counts.view(np.int64), want.view(np.int64))
+    assert h.total_weight == want.sum()
+
+
 # --- NMI ---------------------------------------------------------------------
 
 def test_nmi_identical_images_is_two():

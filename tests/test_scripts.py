@@ -83,3 +83,20 @@ def test_output_digest_hashes_files_and_reports_without_timing(tmp_path):
         f"{sha[1]}  qc/qc.json",
         f"{sha[2]}  report.json (timing_s stripped)",
     ]
+
+
+def test_objective_timing_times_every_stride_at_both_poses():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "objective_timing.py"), "--evals", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [[stride, pose] for stride in ("4", "2", "1")
+                                         for pose in ("identity", "motion")]
+    for stride, pose, samples, share, median, *_ in rows:
+        assert int(samples) > 0 and float(median) > 0
+        # identity keeps every sample in-field; the motion moves some out
+        assert float(share) == 1.0 if pose == "identity" else 0.0 < float(share) < 1.0
