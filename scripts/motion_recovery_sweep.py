@@ -11,9 +11,16 @@ acceptance criterion 1, within 5 minutes on 2 cores.
 
     PYTHONPATH=src python scripts/motion_recovery_sweep.py --runs 10 \
         --preset cmrr_7t_16ch_t2w_interleaved --json accuracy.json
+
+With ``--digest`` it prints only one line per registration: run, slab,
+the SHA-256 of the transform matrix bytes, the evaluations per level, the
+final NMI and the SHA-256 of the trace. The lines hold no timing, so
+whether a code change moved any registration is one ``diff`` of the
+output of two checkouts.
 """
 
 import argparse
+import hashlib
 import json
 import time
 
@@ -77,6 +84,16 @@ def print_summary(prefix, s):
           f"({s['registration_s'] / s['slabs']:.2f}s per slab)")
 
 
+def digest_line(record) -> str:
+    """Run, slab and the exact outcome of one registration, without timing."""
+    result = record["result"]
+    matrix = hashlib.sha256(result.transform.matrix.tobytes()).hexdigest()
+    trace = hashlib.sha256(json.dumps(result.to_dict()["trace"]).encode()).hexdigest()
+    evaluations = ",".join(str(n) for n in result.evaluations)
+    return (f"run {record['run']:02d} slab {record['slab']} transform {matrix} "
+            f"evaluations {evaluations} final_nmi {result.final_nmi!r} trace {trace}")
+
+
 def run_sweep(runs=25, base_seed=0, noise_pct=2.0, preset=PRESETS[0], config=None,
               verbose=True):
     """Returns the summary dict and one record per registered slab."""
@@ -129,8 +146,14 @@ if __name__ == "__main__":
     ap.add_argument("--noise-pct", type=float, default=2.0)
     ap.add_argument("--preset", choices=PRESETS, default=PRESETS[0])
     ap.add_argument("--json", metavar="PATH", help="write the summary as JSON")
+    ap.add_argument("--digest", action="store_true",
+                    help="print only one timing-free digest line per registration")
     args = ap.parse_args()
-    summary, _ = run_sweep(args.runs, args.seed, args.noise_pct, args.preset)
+    summary, records = run_sweep(args.runs, args.seed, args.noise_pct, args.preset,
+                                 verbose=not args.digest)
+    if args.digest:
+        for record in records:
+            print(digest_line(record))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2)

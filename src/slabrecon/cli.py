@@ -90,12 +90,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _shift_before_registration(slabs, layout, config):
+def _shift_index(stack, layout, config):
+    """Shift index of a volume or of padded slabs (an iterable, consumed only
+    for an interleaved layout); None for other layouts, where it is undefined."""
     if not isinstance(layout, InterleavedLayout):
         return None
-    padded = [pad_slab(slab, layout, j) for j, slab in enumerate(slabs)]
     return shift_index(
-        padded, layout,
+        stack, layout,
         threshold=config.shift_threshold,
         foreground_fraction=config.foreground_fraction,
     )
@@ -111,7 +112,8 @@ def cmd_reconstruct(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
     try:
-        shift = _shift_before_registration(slabs, layout, config)
+        shift = _shift_index((pad_slab(slab, layout, j) for j, slab in enumerate(slabs)),
+                             layout, config)
         fusion, results = reconstruct(
             slabs, layout, lr,
             reg_config=config.registration_config(),
@@ -177,11 +179,7 @@ def cmd_qc(args) -> int:
             if not coverage.geometry.same_grid(volume.geometry, tol=1e-6):
                 raise InvalidInput("coverage map and volume must share one grid")
             stack = volume.with_data(np.where(coverage.data >= 0.5, volume.data, 0.0))
-        shift = shift_index(
-            stack, layout,
-            threshold=config.shift_threshold,
-            foreground_fraction=config.foreground_fraction,
-        )
+        shift = _shift_index(stack, layout, config)
     qc = compute_qc(volume, rois, shift)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "qc.json"), {

@@ -306,3 +306,19 @@ def test_layout_file_voxel_not_positive_is_usage_error(tmp_path, capsys, voxel):
     code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
     assert code == 2
     assert "voxel_mm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", ["cmrr_7t_32ch_t2w_interleaved4", "ns_7t_32ch_t2w_contiguous"])
+def test_qc_with_a_layout_that_is_not_interleaved_skips_the_shift_index(pipeline_dirs, tmp_path,
+                                                                       layout):
+    # nested and contiguous layouts have no shift index: RC and SNR are still written
+    sim, rec, qc = pipeline_dirs
+    code = main([
+        "qc", "--layout", layout,
+        "--volume", str(rec / "fused.nii.gz"), "--rois", str(sim / "rois.json"),
+        "--coverage", str(rec / "coverage.nii.gz"), "--out", str(tmp_path / "qc"),
+    ])
+    assert code == 0
+    payload = read_json(tmp_path / "qc" / "qc.json")["qc"]
+    assert payload["shift"] is None
+    assert payload == read_json(qc / "qc.json")["qc"]

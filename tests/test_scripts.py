@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,28 @@ def test_motion_recovery_sweep_registers_every_nested_slab(tmp_path):
                for line in lines)
     summary = json.loads(summary_path.read_text())
     assert summary["moved"]["slabs"] == 1 and summary["motionless"]["slabs"] == 3
+
+
+def test_motion_recovery_sweep_digest_is_one_timing_free_line_per_registration():
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+    def digest():
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "motion_recovery_sweep.py"), "--runs", "1",
+             "--digest"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    lines = digest()
+    assert len(lines) == 2
+    for slab, line in enumerate(lines):
+        assert re.fullmatch(rf"run 00 slab {slab} transform [0-9a-f]{{64}} evaluations "
+                            r"\d+,\d+,\d+ final_nmi [0-9.]+ trace [0-9a-f]{64}", line), line
+    assert lines[0].split()[5] != lines[1].split()[5]   # the moved slab's transform differs
+    assert digest() == lines
 
 
 def test_output_digest_hashes_files_and_reports_without_timing(tmp_path):

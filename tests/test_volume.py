@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from slabrecon import (
     AffineGeometry,
@@ -10,8 +11,10 @@ from slabrecon import (
     RigidTransform,
     Volume,
     invert,
+    prepare_reference,
     resample,
 )
+from slabrecon.geometry import index_map
 from slabrecon.volume import in_field
 
 METHODS = list(InterpolationMethod)
@@ -178,3 +181,56 @@ def test_volume_data_is_immutable():
     vol = random_volume()
     with pytest.raises(ValueError):
         vol.data[0, 0, 0] = 1.0
+
+
+def cubic_3d_oracle(vol, target, transform, extend):
+    """The 3D cubic B-spline read at every target voxel, as ndimage gives it."""
+    m = index_map(target, transform, vol.geometry)
+    idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
+    coeffs = ndimage.spline_filter(vol.data, order=3, mode="mirror")
+    values = ndimage.map_coordinates(coeffs, idx, order=3, prefilter=False, mode="mirror")
+    if not extend:
+        values[~in_field(idx, vol.dims)] = 0.0
+    return values.reshape(target.dims)
+
+
+@pytest.mark.parametrize("spacing, translation, extend, flat, cut", [
+    ((0.15, 1.2, 0.15), (0.0, 0.0, 0.0), False, False, False),   # x2 up in-plane
+    ((0.3, 1.2, 0.6), (0.0, 0.0, 0.0), True, False, False),      # x2 down along z
+    ((0.3, 1.2, 0.3), (0.0, 1.2, 0.0), False, False, True),      # one whole slice
+    ((0.3, 1.2, 0.3), (0.0, 1.2, 0.0), True, False, False),
+    ((0.3, 1.2, 0.3), (0.11, -0.5, 0.7), False, False, True),    # fractional
+    ((0.3, 1.2, 0.3), (0.11, -0.5, 0.7), True, False, False),
+    ((0.15, 1.2, 0.2), (0.0, 0.4, 0.05), True, True, False),     # singleton y
+    ((0.15, 1.2, 0.2), (0.0, 0.4, 0.0), False, True, False),
+    ((0.2, 0.5, 0.9), (0.05, 0.1, -0.2), True, False, False),    # a scale per axis
+])
+def test_axis_aligned_cubic_matches_3d_spline(spacing, translation, extend, flat, cut):
+    vol = random_volume(seed=3)
+    if flat:
+        vol = Volume(AffineGeometry((9, 1, 8), (0.3, 1.2, 0.3)), vol.data[:, :1])
+    target = vol.geometry.with_spacing(spacing)
+    shift = RigidTransform(translation=translation)
+    [fast] = resample([vol], target, shift, InterpolationMethod.CubicBSpline, extend=extend)
+    oracle = cubic_3d_oracle(vol, target, shift, extend)
+    lo, hi = vol.value_range()
+    assert np.max(np.abs(fast.data - oracle)) <= 1e-12 * (hi - lo)
+    # voxels beyond the hull are exactly 0, and only those
+    beyond = oracle == 0.0
+    assert np.array_equal(fast.data == 0.0, beyond)
+    assert beyond.any() == cut
+
+
+def test_cubic_resample_without_rotation_skips_the_3d_spline(monkeypatch):
+    vol = random_volume(seed=4)
+
+    def no_3d_spline(*args, **kwargs):
+        raise AssertionError("3D map_coordinates called")
+
+    monkeypatch.setattr(ndimage, "map_coordinates", no_3d_spline)
+    assert prepare_reference(vol, (0.15, 0.15)).dims == (18, 7, 16)
+    shift = RigidTransform(translation=(0.1, 0.6, -0.2))
+    resample([vol], vol.geometry, shift, InterpolationMethod.CubicBSpline, extend=True)
+    turn = RigidTransform(rotation=(0.02, 0.0, 0.0), center=tuple(vol.geometry.world_center()))
+    with pytest.raises(AssertionError, match="3D map_coordinates"):
+        resample([vol], vol.geometry, turn, InterpolationMethod.CubicBSpline)
