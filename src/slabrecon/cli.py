@@ -92,7 +92,8 @@ def cmd_simulate(args) -> int:
 
 def _shift_index(stack, layout, config):
     """Shift index of a volume or of padded slabs (an iterable, consumed only
-    for an interleaved layout); None for other layouts, where it is undefined."""
+    for an interleaved layout); None for other layouts, where it is undefined,
+    and for no layout."""
     if not isinstance(layout, InterleavedLayout):
         return None
     return shift_index(
@@ -170,16 +171,14 @@ def cmd_qc(args) -> int:
     config = _load_config(args)
     volume = read_volume(args.volume)
     rois = load_rois(args.rois)
-    shift = None
-    if args.layout is not None:
-        layout, _ = resolve_layout(config.layout)
-        stack = volume
-        if args.coverage is not None:
-            coverage = read_volume(args.coverage)
-            if not coverage.geometry.same_grid(volume.geometry, tol=1e-6):
-                raise InvalidInput("coverage map and volume must share one grid")
-            stack = volume.with_data(np.where(coverage.data >= 0.5, volume.data, 0.0))
-        shift = _shift_index(stack, layout, config)
+    layout = resolve_layout(config.layout)[0] if args.layout is not None else None
+    stack = volume
+    if args.coverage is not None:
+        coverage = read_volume(args.coverage)
+        if not coverage.geometry.same_grid(volume.geometry, tol=1e-6):
+            raise InvalidInput("coverage map and volume must share one grid")
+        stack = volume.with_data(np.where(coverage.data >= 0.5, volume.data, 0.0))
+    shift = _shift_index(stack, layout, config)
     qc = compute_qc(volume, rois, shift)
     os.makedirs(args.out, exist_ok=True)
     write_json(os.path.join(args.out, "qc.json"), {
@@ -230,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", required=True, help="volume to evaluate")
     p.add_argument("--rois", required=True, help="ROI sidecar JSON")
     p.add_argument("--coverage",
-                   help="coverage map volume; the shift index ignores voxels where it is < 0.5")
+                   help="coverage map on the volume's grid; the shift index ignores "
+                        "voxels where it is < 0.5")
     p.set_defaults(func=cmd_qc)
     return parser
 

@@ -2,16 +2,23 @@
 
 Reading accepts the common scalar datatypes and takes the affine from the
 sform when valid, else the qform, else spacing alone. Writing always emits
-little-endian float32 with both sform and qform set. Gzip output pins the
-embedded mtime to zero so identical volumes produce identical bytes.
+little-endian float32 with both sform and qform set. A ``.gz`` path gets one
+gzip member with mtime 0, so identical volumes produce identical bytes. It is
+deflated at level 1 with the run-length strategy (``Z_RLE``): on noisy
+float32 data the low mantissa bytes are random, so the string matching of
+level 9 finds almost nothing and only the Huffman coder shrinks the file,
+which the fast setting does just as well at a fraction of the time.
+Piecewise-constant volumes (truth, coverage, mask sums) come out larger than
+at level 9, since run-length matching sees repeats of the previous byte, not
+of a whole float: a coverage map takes ~0.2 of its raw size, not ~0.001.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import os
 import struct
+import zlib
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -178,7 +185,13 @@ def _quaternion_fields(geometry: AffineGeometry):
 
 
 def write_volume(volume: Volume, path):
-    """Write a float32 single-file NIfTI-1 (.nii, gzipped when path ends in .gz)."""
+    """Write a float32 single-file NIfTI-1 (.nii, gzipped when path ends in .gz).
+
+    Gzip output is ``zlib.compressobj(1, DEFLATED, 31, 9, Z_RLE)``: level 1,
+    a gzip wrapper (mtime 0), run-length matches only. Noisy float32 voxels
+    leave deflate nothing but its entropy coder, so this is the size of level
+    9 at about a quarter of the time; the decoded bytes do not depend on it.
+    """
     geom = volume.geometry
     header = bytearray(HEADER_SIZE)
     struct.pack_into("<i", header, 0, HEADER_SIZE)
@@ -202,8 +215,6 @@ def write_volume(volume: Volume, path):
 
     path = os.fspath(path)
     if path.endswith(".gz"):
-        buf = io.BytesIO()
-        with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as gz:
-            gz.write(payload)
-        payload = buf.getvalue()
+        deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 9, zlib.Z_RLE)
+        payload = deflate.compress(payload) + deflate.flush()
     atomic_write_bytes(path, payload)

@@ -12,7 +12,8 @@ coordinates: two calls produce bit-identical volumes.
 
 The phantom is the ground truth, so it is piecewise constant: tissue
 boundaries are hard, and every voxel holds exactly one of the spec
-intensities, except on the bright lamina, which carries the texture. Any
+intensities, except on the bright lamina, which carries the texture. The
+texture is evaluated only on the lamina voxels, not on the whole grid. Any
 band-limiting of a real acquisition belongs to the acquisition model in
 ``simulate.py``, not here.
 """
@@ -211,13 +212,19 @@ def generate_phantom(spec: PhantomSpec, geometry: AffineGeometry) -> GeneratedPh
     # the core is homogeneous: canonical GM measurements need pure tissue
     core = m <= spec.core_fraction * width / 2.0
     bright_lamina = np.mod(q, cycle) <= spec.sp_thickness_mm
-    bright = spec.intensity_bright * (1.0 + spec.texture_amplitude * _texture(x, y, z))
 
     data = np.select(
-        [inside & rim, inside & core, inside & bright_lamina, inside, envelope],
-        [spec.intensity_dark, spec.intensity_bright, bright, spec.intensity_dark,
+        [inside & rim, inside & core, inside, envelope],
+        [spec.intensity_dark, spec.intensity_bright, spec.intensity_dark,
          spec.intensity_matrix],
         default=spec.intensity_background,
+    )
+    # the textured bright lamina is what is left inside once rim and core are
+    # taken; its texture is evaluated on those voxels only (a few % of the
+    # grid), with the same per-voxel arithmetic as on the full grid
+    i, j, k = np.nonzero(inside & ~rim & ~core & bright_lamina)
+    data[i, j, k] = spec.intensity_bright * (
+        1.0 + spec.texture_amplitude * _texture(x.ravel()[i], y.ravel()[j], z.ravel()[k])
     )
 
     return GeneratedPhantom(Volume(geometry, data), canonical_rois(spec, geometry))

@@ -91,6 +91,19 @@ def test_qc_coverage_on_another_grid_is_data_error(pipeline_dirs, tmp_path):
     assert code == 4
 
 
+def test_qc_coverage_on_another_grid_is_data_error_without_a_layout(pipeline_dirs, tmp_path,
+                                                                     capsys):
+    # the map is read and checked whether or not the shift index will use it
+    sim, rec, _ = pipeline_dirs
+    code = main([
+        "qc", "--volume", str(rec / "fused.nii.gz"), "--rois", str(sim / "rois.json"),
+        "--coverage", str(sim / "lr.nii.gz"), "--out", str(tmp_path / "qc"),
+    ])
+    assert code == 4
+    assert "coverage map and volume must share one grid" in capsys.readouterr().err
+    assert not (tmp_path / "qc" / "qc.json").exists()
+
+
 def test_missing_lr_is_usage_error(capsys, tmp_path):
     code = main(["reconstruct", "--slabs", "a.nii", "--out", str(tmp_path)])
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -202,3 +203,31 @@ def test_gzip_detected_by_content(tmp_path):
     renamed.write_bytes(nii.read_bytes())
     back = read_volume(renamed)
     assert np.array_equal(back.data, vol.data)
+
+
+def test_gzip_output_is_one_member_with_mtime_zero_around_the_plain_file(tmp_path):
+    vol = float32_volume(seed=7)
+    write_volume(vol, tmp_path / "v.nii.gz")
+    write_volume(vol, tmp_path / "v.nii")
+    raw = (tmp_path / "v.nii.gz").read_bytes()
+    assert raw[:3] == b"\x1f\x8b\x08"                # gzip magic, deflate
+    assert struct.unpack_from("<I", raw, 4)[0] == 0  # mtime
+    member = zlib.decompressobj(31)
+    decoded = member.decompress(raw)
+    assert member.eof and member.unused_data == b""  # exactly one member
+    assert gzip.decompress(raw) == decoded
+    plain = (tmp_path / "v.nii").read_bytes()
+    assert decoded == plain
+    assert len(decoded) == 352 + 4 * vol.data.size
+    assert decoded[352:] == vol.data.astype("<f4").tobytes(order="F")
+
+
+def test_noisy_gzip_output_is_no_larger_than_level_9(tmp_path, standard_phantom):
+    # noisy float32 leaves deflate only its entropy coder: the fast setting
+    # must cost no more than 1% of size against the slowest one
+    data = standard_phantom.volume.data
+    noise = np.random.default_rng(11).normal(0.0, 0.02 * data.max(), size=data.shape)
+    write_volume(standard_phantom.volume.with_data(data + noise), tmp_path / "noisy.nii.gz")
+    payload = gzip.decompress((tmp_path / "noisy.nii.gz").read_bytes())
+    size = (tmp_path / "noisy.nii.gz").stat().st_size
+    assert size <= 1.01 * len(gzip.compress(payload, 9))

@@ -7,10 +7,12 @@ from slabrecon import (
     InvalidInput,
     PhantomSpec,
     generate_phantom,
+    get_preset,
     phantom_geometry,
     relative_contrast,
     roi_stats,
 )
+from slabrecon.phantom import _texture
 
 
 def test_generation_is_deterministic(standard_phantom):
@@ -105,3 +107,26 @@ def test_intensities_follow_spec_overrides():
     ph = generate_phantom(spec, phantom_geometry(46))
     values = set(np.unique(ph.volume.data))
     assert values == {0.0, 50.0, 80.0, 200.0}
+
+
+@pytest.mark.parametrize("spec", [
+    PhantomSpec(),
+    PhantomSpec(sp_thickness_mm=1.3, texture_amplitude=0.1),
+], ids=["default", "thick_lamina_weak_texture"])
+@pytest.mark.parametrize("preset", ["ns_7t_32ch_t2w_interleaved", "cmrr_7t_16ch_t2w_interleaved"])
+def test_texture_matches_the_full_grid_formula(preset, spec):
+    # the texture is evaluated on lamina voxels only; each one must carry the
+    # bits of the formula evaluated on the whole grid
+    p = get_preset(preset)
+    geometry = phantom_geometry(p.build_layout().final_slices, p.voxel_mm)
+    data = generate_phantom(spec, geometry).volume.data
+    (nx, ny, nz), (sx, sy, sz) = geometry.dims, geometry.spacing
+    x = (np.arange(nx) * sx)[:, None, None]
+    y = (np.arange(ny) * sy)[None, :, None]
+    z = (np.arange(nz) * sz)[None, None, :]
+    expected = spec.intensity_bright * (1.0 + spec.texture_amplitude * _texture(x, y, z))
+    constants = [spec.intensity_bright, spec.intensity_dark, spec.intensity_matrix,
+                 spec.intensity_background]
+    textured = ~np.isin(data, constants)
+    assert textured.any()
+    assert data[textured].tobytes() == expected[textured].tobytes()

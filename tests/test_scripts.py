@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import os
@@ -5,6 +6,10 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from slabrecon import AffineGeometry, Volume, write_volume
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,6 +111,33 @@ def test_output_digest_hashes_files_and_reports_without_timing(tmp_path):
         f"{sha[1]}  qc/qc.json",
         f"{sha[2]}  report.json (timing_s stripped)",
     ]
+
+
+def test_output_digest_decoded_compares_gzip_files_by_their_data(tmp_path):
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    volume = Volume(AffineGeometry((6, 5, 4), (0.3, 1.2, 0.3)),
+                    np.random.default_rng(0).normal(100.0, 2.0, size=(6, 5, 4)))
+    fast, slow = tmp_path / "fast", tmp_path / "slow"
+    fast.mkdir()
+    slow.mkdir()
+    write_volume(volume, fast / "fused.nii.gz")
+    nifti = gzip.decompress((fast / "fused.nii.gz").read_bytes())
+    (slow / "fused.nii.gz").write_bytes(gzip.compress(nifti, 9, mtime=0))
+    assert (slow / "fused.nii.gz").read_bytes() != (fast / "fused.nii.gz").read_bytes()
+
+    def digest(out, *flags):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py"), *flags, str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    assert digest(fast) != digest(slow)
+    decoded = digest(fast, "--decoded")
+    assert decoded == digest(slow, "--decoded")
+    assert decoded == [f"{hashlib.sha256(nifti).hexdigest()}  fused.nii.gz (decompressed)"]
 
 
 def test_objective_timing_times_every_stride_at_both_poses():
