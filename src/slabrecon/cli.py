@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .config import PipelineConfig, parse_config_file, resolve_config
+from .config import parse_config_file, resolve_config
 from .errors import (
     ConfigError,
     InvalidInput,
@@ -22,53 +22,32 @@ from .errors import (
     SlabreconError,
 )
 from .fusion import reconstruct
-from .geometry import RigidTransform
-from .layout import (
-    InterleavedLayout,
-    pad_slab,
-    prepare_reference,
-    resolve_layout,
-)
+from .layout import InterleavedLayout, pad_slab, prepare_reference
 from .nifti import read_volume, write_volume
 from .phantom import generate_phantom, phantom_geometry
 from .qc import compute_qc, load_rois, save_rois, shift_index
 from .registration import register_rigid
 from .reports import run_report, write_json
-from .simulate import MotionScenario, simulate_acquisition
+from .simulate import simulate_acquisition
 
 _USAGE_EXIT = 2
 _REGISTRATION_EXIT = 3
 _DATA_EXIT = 4
 
 
-def _load_config(args) -> PipelineConfig:
+def _load_config(args):
+    """``(config, layout, voxel_mm)`` from the config file and the common flags."""
     file_values = parse_config_file(args.config) if args.config else None
     return resolve_config(file_values, layout=args.layout, seed=args.seed)
 
 
-def _default_scenario(config: PipelineConfig, num_slabs: int, center) -> MotionScenario:
-    transforms = config.scenario_transforms(num_slabs, center)
-    if config.scenario is None and num_slabs >= 2:
-        # modest coil-possible motion on the second slab
-        transforms[1] = RigidTransform(
-            rotation=(np.radians(1.5), 0.0, 0.0),
-            translation=(0.0, 0.0, 0.6),
-            center=center,
-        )
-    return MotionScenario(tuple(transforms), noise_sigma_pct=config.noise_sigma_pct)
-
-
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
-    layout, voxel = resolve_layout(config.layout)
+    config, layout, voxel = _load_config(args)
     geometry = phantom_geometry(layout.final_slices, voxel, tuple(config.phantom_fov_mm))
     phantom = generate_phantom(config.phantom_spec(), geometry)
-    scenario = _default_scenario(config, layout.num_slabs, phantom.volume.geometry.world_center())
-    lr_spacing = (voxel[0], voxel[1], config.lr_inplane_factor * voxel[2])
-    dataset = simulate_acquisition(
-        phantom.volume, layout, scenario, lr_spacing=lr_spacing,
-        seed=config.seed, rois=phantom.rois,
-    )
+    scenario = config.motion_scenario(layout.num_slabs, geometry.world_center())
+    dataset = simulate_acquisition(phantom.volume, layout, scenario,
+                                   lr_inplane_factor=config.lr_inplane_factor, seed=config.seed)
 
     os.makedirs(args.out, exist_ok=True)
     write_volume(dataset.ground_truth, os.path.join(args.out, "truth.nii.gz"))
@@ -78,7 +57,7 @@ def cmd_simulate(args) -> int:
         write_volume(slab, os.path.join(args.out, name))
         slab_paths.append(name)
     write_volume(dataset.lr, os.path.join(args.out, "lr.nii.gz"))
-    save_rois(dataset.rois, os.path.join(args.out, "rois.json"))
+    save_rois(phantom.rois, os.path.join(args.out, "rois.json"))
     write_json(os.path.join(args.out, "scenario.json"), {
         "config": config.to_dict(),
         "layout": layout.to_dict(),
@@ -105,8 +84,7 @@ def _shift_index(stack, layout, config):
 
 def cmd_reconstruct(args) -> int:
     t_start = time.perf_counter()
-    config = _load_config(args)
-    layout, _ = resolve_layout(config.layout)
+    config, layout, _ = _load_config(args)
     slabs = [read_volume(p) for p in args.slabs]
     lr = read_volume(args.lr)
 
@@ -150,8 +128,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_register(args) -> int:
-    config = _load_config(args)
-    layout, _ = resolve_layout(config.layout)
+    config, layout, _ = _load_config(args)
     slab = read_volume(args.slab)
     lr = read_volume(args.lr)
     padded = pad_slab(slab, layout, args.slab_index)
@@ -168,10 +145,11 @@ def cmd_register(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    config = _load_config(args)
+    config, layout, _ = _load_config(args)
     volume = read_volume(args.volume)
     rois = load_rois(args.rois)
-    layout = resolve_layout(config.layout)[0] if args.layout is not None else None
+    if args.layout is None:
+        layout = None   # the shift index needs a layout named on the command line
     stack = volume
     if args.coverage is not None:
         coverage = read_volume(args.coverage)
@@ -211,7 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("reconstruct", help="combine slabs + LR reference into one volume")
+    p = sub.add_parser("reconstruct", help="combine slabs + LR reference into one volume",
+                       description="Combine slabs + LR reference into one volume. Linux only: "
+                                   "the slabs register in forked workers, one per CPU that "
+                                   "os.sched_getaffinity reports.")
     common(p)
     p.add_argument("--slabs", nargs="+", required=True, help="acquired slab volumes, in slab order")
     p.add_argument("--lr", required=True, help="low-resolution reference volume")

@@ -20,10 +20,11 @@ from .layout import resolve_layout
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
-from .simulate import LR_INPLANE_FACTOR
+from .simulate import LR_INPLANE_FACTOR, MotionScenario
 
 _NUMBER = (int, float)   # matched by type(), so that JSON true and false are no numbers
 _PHANTOM_SIZES = ("length_mm", "height_mm", "body_width_mm", "head_width_mm")
+_DEFAULT_MOTION = [1.5, 0.0, 0.0, 0.0, 0.0, 0.6]   # slab 1's row when scenario is None
 
 
 @dataclass
@@ -62,28 +63,24 @@ class PipelineConfig:
     def phantom_spec(self) -> PhantomSpec:
         return PhantomSpec(**{k: getattr(self, "phantom_" + k) for k in _PHANTOM_SIZES})
 
-    def scenario_transforms(self, num_slabs: int, center) -> list[RigidTransform]:
-        if self.scenario is None:
-            return [RigidTransform.identity(center) for _ in range(num_slabs)]
-        if len(self.scenario) != num_slabs:
-            raise ConfigError(
-                f"scenario lists {len(self.scenario)} slabs, layout has {num_slabs}"
-            )
+    def motion_scenario(self, num_slabs: int, center) -> MotionScenario:
+        """Per-slab motion about ``center`` and the noise level of a simulation.
+        With no ``scenario``, slab 1 of two or more takes modest coil-possible
+        motion (1.5 deg about x, 0.6 mm along z) and the others stay still."""
+        rows = self.scenario
+        if rows is None:
+            rows = [_DEFAULT_MOTION if j == 1 else [0.0] * 6 for j in range(num_slabs)]
+        if len(rows) != num_slabs:
+            raise ConfigError(f"scenario lists {len(rows)} slabs, layout has {num_slabs}")
         transforms = []
-        for row in self.scenario:
-            if len(row) != 6 or not all(type(v) in _NUMBER for v in row):
+        for row in rows:
+            if len(row) != 6 or not all(type(v) in _NUMBER and np.isfinite(v) for v in row):
                 raise ConfigError(
                     "each scenario row is [rx_deg, ry_deg, rz_deg, tx_mm, ty_mm, tz_mm]"
                 )
-            rx, ry, rz, tx, ty, tz = (float(v) for v in row)
-            transforms.append(
-                RigidTransform(
-                    rotation=tuple(np.radians([rx, ry, rz])),
-                    translation=(tx, ty, tz),
-                    center=center,
-                )
-            )
-        return transforms
+            transforms.append(RigidTransform(rotation=tuple(np.radians(row[:3])),
+                                             translation=tuple(row[3:]), center=center))
+        return MotionScenario(tuple(transforms), noise_sigma_pct=self.noise_sigma_pct)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -95,7 +92,7 @@ _DEFAULTS = dataclasses.asdict(PipelineConfig())
 def _check_type(key, value) -> None:
     """Integer and string keys need their default's type, float keys any number,
     list keys a list of numbers; ``scenario`` a list of lists, whose rows
-    ``scenario_transforms`` checks."""
+    ``motion_scenario`` checks."""
     default = _DEFAULTS[key]
     if default is None:
         ok = value is None or isinstance(value, list) and all(isinstance(r, list) for r in value)
@@ -131,8 +128,12 @@ def parse_config_file(path) -> dict:
     return raw
 
 
-def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConfig:
-    """Merge defaults, config-file values and CLI overrides (in that order)."""
+def resolve_config(file_values: dict | None = None, **overrides):
+    """Merge defaults, config-file values and CLI overrides (in that order),
+    check every value whatever the command, and resolve the layout.
+
+    Returns ``(config, layout, voxel_mm)``.
+    """
     merged = {}
     for source in (file_values or {}, {k: v for k, v in overrides.items() if v is not None}):
         for key, value in source.items():
@@ -144,7 +145,6 @@ def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConf
             _check_type(key, value)
             merged[key] = value
     config = PipelineConfig(**merged)
-    # out-of-range values are config errors, whatever the command
     try:
         config.registration_config()
     except InvalidInput as exc:
@@ -154,15 +154,22 @@ def resolve_config(file_values: dict | None = None, **overrides) -> PipelineConf
     except InvalidInput as exc:
         keys = ", ".join("phantom_" + k for k in _PHANTOM_SIZES)
         raise ConfigError(f"configuration: {exc} ({keys})") from None
-    if config.noise_sigma_pct < 0:
-        raise ConfigError("configuration: noise_sigma_pct must be >= 0")
+    for key, ok, bound in (
+        ("seed", config.seed >= 0, ">= 0"),
+        ("fusion_epsilon", config.fusion_epsilon > 0, "> 0"),
+        ("foreground_fraction", config.foreground_fraction >= 0, ">= 0"),
+        ("noise_sigma_pct", config.noise_sigma_pct >= 0, ">= 0"),
+        ("lr_inplane_factor", config.lr_inplane_factor >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ConfigError(f"configuration: {key} must be {bound}")
     if len(config.phantom_fov_mm) != 2 or min(config.phantom_fov_mm) <= 0:
         raise ConfigError("configuration: phantom_fov_mm takes two values > 0")
-    if config.lr_inplane_factor < 1:
-        raise ConfigError("configuration: lr_inplane_factor must be >= 1")
     # the phantom grid has round(fov / voxel) columns along x and z
-    _, (sx, _, sz) = resolve_layout(config.layout)
+    layout, voxel = resolve_layout(config.layout)
+    sx, _, sz = voxel
     if any(round(fov / s) < 1 for fov, s in zip(config.phantom_fov_mm, (sx, sz))):
         raise ConfigError(f"configuration: phantom_fov_mm {config.phantom_fov_mm} is under "
                           f"one {sx} x {sz} mm voxel of layout {config.layout!r}")
-    return config
+    config.motion_scenario(layout.num_slabs, (0.0, 0.0, 0.0))   # checks the scenario rows
+    return config, layout, voxel

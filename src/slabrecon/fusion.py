@@ -153,7 +153,11 @@ def _register_slabs(padded, reference, config) -> list[RegistrationResult]:
 def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
                 reg_config: RegistrationConfig | None = None,
                 epsilon: float = DEFAULT_EPSILON) -> tuple[FusionOutput, list[RegistrationResult]]:
-    """Prepare the reference, pad, register (see ``_register_slabs``), reslice, fuse."""
+    """Prepare the reference, pad, register (see ``_register_slabs``), reslice, fuse.
+
+    Linux only: the slabs register in forked workers, one per CPU that
+    ``os.sched_getaffinity`` reports.
+    """
     if len(slabs) != layout.num_slabs:
         raise InvalidInput(
             f"got {len(slabs)} slabs, layout expects {layout.num_slabs}"

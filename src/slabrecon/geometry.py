@@ -153,11 +153,8 @@ class RigidTransform:
         mat = self.matrix
         return pts @ mat[:3, :3].T + mat[:3, 3]
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return (
-            max(abs(v) for v in self.rotation) <= tol
-            and max(abs(v) for v in self.translation) <= tol
-        )
+    def is_identity(self) -> bool:
+        return not any(self.rotation + self.translation)
 
     def parameters(self) -> np.ndarray:
         """Packed (tx, ty, tz, rx, ry, rz) vector, translations first."""

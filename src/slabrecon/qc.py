@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateInput, EmptyROI, InvalidInput, LayoutMismatch
 from .layout import InterleavedLayout, SlabLayout
+from .reports import write_json
 from .volume import Volume
 
 MOTION_RATING_LEVELS = ("none", "medium", "large")
@@ -295,7 +296,4 @@ def load_rois(path) -> dict:
 
 
 def save_rois(rois: dict, path):
-    payload = {label: roi.to_dict() for label, roi in rois.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {label: roi.to_dict() for label, roi in rois.items()})

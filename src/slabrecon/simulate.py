@@ -9,7 +9,7 @@ translations (x, and y along the slab normal) are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class SimulatedDataset:
     slabs: tuple
     lr: Volume
     layout: SlabLayout
-    rois: dict = field(default_factory=dict)
 
 
 def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
@@ -113,13 +112,13 @@ def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
 
 
 def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScenario,
-                         lr_spacing=None, seed: int = 0,
-                         rois: dict | None = None) -> SimulatedDataset:
+                         lr_inplane_factor: float = LR_INPLANE_FACTOR,
+                         seed: int = 0) -> SimulatedDataset:
     """Slice the (per-slab transformed) truth into slabs and build the LR scan.
 
-    The LR reference doubles the voxel along the in-plane z axis by default,
-    mirroring how the continuous reference scan trades resolution for
-    coverage; reconstruction later interpolates it back in-plane.
+    The LR reference widens the voxel along the in-plane z axis by
+    ``lr_inplane_factor``, mirroring how the continuous reference scan trades
+    resolution for coverage; reconstruction later interpolates it back in-plane.
     """
     if scenario.num_slabs != layout.num_slabs:
         raise LayoutMismatch(
@@ -147,10 +146,8 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
         slab = split_volume(moved, layout)[j]
         slabs.append(rician_noise(slab, sigma, seed=_derive_seed(seed, j)))
 
-    if lr_spacing is None:
-        g = truth.geometry
-        lr_spacing = (g.spacing[0], g.spacing[1], LR_INPLANE_FACTOR * g.spacing[2])
-    lr_geom = truth.geometry.with_spacing(lr_spacing)
+    g = truth.geometry
+    lr_geom = g.with_spacing((g.spacing[0], g.spacing[1], lr_inplane_factor * g.spacing[2]))
     [lr] = resample([truth], lr_geom, RigidTransform.identity(),
                     InterpolationMethod.CubicBSpline, extend=True)
     lr = lr.with_data(np.abs(lr.data))
@@ -161,7 +158,6 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
         slabs=tuple(slabs),
         lr=lr,
         layout=layout,
-        rois=dict(rois or {}),
     )
 
 

@@ -39,7 +39,7 @@ class InterpolationMethod(enum.Enum):
 class Volume:
     """Immutable scalar voxel grid with affine geometry."""
 
-    __slots__ = ("geometry", "data", "_bspline_coeffs")
+    __slots__ = ("geometry", "data")
 
     def __init__(self, geometry: AffineGeometry, data):
         arr = np.asarray(data, dtype=float)
@@ -51,7 +51,6 @@ class Volume:
         arr.flags.writeable = False
         self.geometry = geometry
         self.data = arr
-        self._bspline_coeffs = None
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -62,14 +61,6 @@ class Volume:
 
     def value_range(self) -> tuple[float, float]:
         return float(self.data.min()), float(self.data.max())
-
-    def _coefficients(self) -> np.ndarray:
-        # prefiltered cubic B-spline coefficients, mirror boundary
-        if self._bspline_coeffs is None:
-            self._bspline_coeffs = ndimage.spline_filter(
-                self.data, order=3, mode="mirror", output=np.float64
-            )
-        return self._bspline_coeffs
 
 
 def in_field(idx: np.ndarray, dims) -> np.ndarray:
@@ -133,10 +124,10 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     results = []
     for volume in volumes:
         # mirror boundary: inside the hull it changes nothing, and extended
-        # sampling stays consistent with the B-spline prefilter
+        # sampling stays consistent with the cubic B-spline prefilter, which
+        # map_coordinates runs with the same boundary
         values = np.zeros(target.n_voxels)
-        values[keep] = ndimage.map_coordinates(
-            volume._coefficients() if cubic else volume.data, idx,
-            order=method.value, prefilter=False, mode="mirror")
+        values[keep] = ndimage.map_coordinates(volume.data, idx, order=method.value,
+                                               mode="mirror")
         results.append(Volume(target, values.reshape(target.dims)))
     return results

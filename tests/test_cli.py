@@ -335,3 +335,46 @@ def test_qc_with_a_layout_that_is_not_interleaved_skips_the_shift_index(pipeline
     payload = read_json(tmp_path / "qc" / "qc.json")["qc"]
     assert payload["shift"] is None
     assert payload == read_json(qc / "qc.json")["qc"]
+
+
+def _inputs(command, sim, rec):
+    """The input flags each command requires, on the files of ``pipeline_dirs``."""
+    slabs = [str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz")]
+    return {
+        "simulate": [],
+        "reconstruct": ["--slabs", *slabs, "--lr", str(sim / "lr.nii.gz")],
+        "register": ["--slab", slabs[1], "--slab-index", "1", "--lr", str(sim / "lr.nii.gz")],
+        "qc": ["--volume", str(rec / "fused.nii.gz"), "--rois", str(sim / "rois.json")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+@pytest.mark.parametrize("line", ["fusion_epsilon = 0", "foreground_fraction = -1"])
+def test_fusion_and_shift_keys_out_of_range_are_usage_errors(pipeline_dirs, tmp_path, capsys,
+                                                             command, line):
+    # checked with the other keys, not first by fuse or shift_index mid-run
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(line + "\n")
+    code = main([command, *_inputs(command, sim, rec), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "register", "qc"])
+@pytest.mark.parametrize("setting", [
+    "scenario = [[1, 2]]", "scenario = [[NaN, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]",
+    "seed = -1", "--seed -1",
+])
+def test_scenario_rows_and_seed_are_checked_under_every_command(pipeline_dirs, tmp_path, capsys,
+                                                                command, setting):
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n")
+    flags = setting.split() if setting.startswith("--") else ["--config", str(cfg)]
+    code = main([command, *_inputs(command, sim, rec), "--out", str(tmp_path / "out"), *flags])
+    assert code == 2
+    assert setting.strip("-").split()[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -130,3 +130,22 @@ def test_texture_matches_the_full_grid_formula(preset, spec):
     textured = ~np.isin(data, constants)
     assert textured.any()
     assert data[textured].tobytes() == expected[textured].tobytes()
+
+
+@pytest.mark.parametrize("preset", ["ns_7t_32ch_t2w_interleaved", "cmrr_7t_16ch_t2w_interleaved",
+                                    "cmrr_7t_32ch_t2w_interleaved4"])
+def test_texture_stays_inside_the_dark_rim(preset):
+    # the dark outer rim separates the textured lamina from the matrix and the
+    # background; a textured rim would put texture next to them all around
+    spec = PhantomSpec()
+    p = get_preset(preset)
+    data = generate_phantom(spec, phantom_geometry(p.build_layout().final_slices,
+                                                   p.voxel_mm)).volume.data
+    textured = ~np.isin(data, [spec.intensity_bright, spec.intensity_dark,
+                               spec.intensity_matrix, spec.intensity_background])
+    outer = np.isin(data, [spec.intensity_matrix, spec.intensity_background])
+    touches_outer = np.zeros_like(outer)
+    for axis in (0, 2):   # in-plane neighbours; the grid edge is background, far from texture
+        touches_outer |= np.roll(outer, 1, axis) | np.roll(outer, -1, axis)
+    assert textured.any()
+    assert (textured & touches_outer).sum() <= 0.01 * textured.sum()
