@@ -145,11 +145,12 @@ def cmd_register(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    config, layout, _ = _load_config(args)
+    file_values = parse_config_file(args.config) if args.config else {}
+    config, layout, _ = resolve_config(file_values, layout=args.layout, seed=args.seed)
     volume = read_volume(args.volume)
     rois = load_rois(args.rois)
-    if args.layout is None:
-        layout = None   # the shift index needs a layout named on the command line
+    if args.layout is None and "layout" not in file_values:
+        layout = None   # the shift index needs a layout named by --layout or the config file
     stack = volume
     if args.coverage is not None:
         coverage = read_volume(args.coverage)

@@ -8,7 +8,6 @@ key cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .layout import resolve_layout
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
+from .reports import parse_json
 from .simulate import LR_INPLANE_FACTOR, MotionScenario
 
 _NUMBER = (int, float)   # matched by type(), so that JSON true and false are no numbers
@@ -72,15 +72,10 @@ class PipelineConfig:
             rows = [_DEFAULT_MOTION if j == 1 else [0.0] * 6 for j in range(num_slabs)]
         if len(rows) != num_slabs:
             raise ConfigError(f"scenario lists {len(rows)} slabs, layout has {num_slabs}")
-        transforms = []
-        for row in rows:
-            if len(row) != 6 or not all(type(v) in _NUMBER and np.isfinite(v) for v in row):
-                raise ConfigError(
-                    "each scenario row is [rx_deg, ry_deg, rz_deg, tx_mm, ty_mm, tz_mm]"
-                )
-            transforms.append(RigidTransform(rotation=tuple(np.radians(row[:3])),
-                                             translation=tuple(row[3:]), center=center))
-        return MotionScenario(tuple(transforms), noise_sigma_pct=self.noise_sigma_pct)
+        transforms = tuple(RigidTransform(rotation=tuple(np.radians(row[:3])),
+                                          translation=tuple(row[3:]), center=center)
+                           for row in rows)
+        return MotionScenario(transforms, noise_sigma_pct=self.noise_sigma_pct)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -91,11 +86,13 @@ _DEFAULTS = dataclasses.asdict(PipelineConfig())
 
 def _check_type(key, value) -> None:
     """Integer and string keys need their default's type, float keys any number,
-    list keys a list of numbers; ``scenario`` a list of lists, whose rows
-    ``motion_scenario`` checks."""
+    list keys a list of numbers, ``scenario`` a list of rows of 6 numbers
+    (``parse_json`` admits finite numbers only)."""
     default = _DEFAULTS[key]
     if default is None:
-        ok = value is None or isinstance(value, list) and all(isinstance(r, list) for r in value)
+        ok = value is None or isinstance(value, list) and all(
+            isinstance(r, list) and len(r) == 6 and all(type(v) in _NUMBER for v in r)
+            for r in value)
     elif isinstance(default, list):
         ok = isinstance(value, list) and all(type(v) in _NUMBER for v in value)
     elif isinstance(default, float):
@@ -108,7 +105,7 @@ def _check_type(key, value) -> None:
 
 
 def parse_config_file(path) -> dict:
-    """Read flat 'key = value' lines; values are JSON literals."""
+    """Read flat 'key = value' lines; values are JSON literals with finite numbers."""
     raw = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -119,12 +116,8 @@ def parse_config_file(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = stripped.partition("=")
             key = key.strip()
-            try:
-                raw[key] = json.loads(value.strip())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: value for {key!r} is not valid JSON: {exc}"
-                ) from exc
+            raw[key] = parse_json(value.strip(), f"{path}:{lineno}: value for {key!r}",
+                                  ConfigError)
     return raw
 
 
@@ -171,5 +164,5 @@ def resolve_config(file_values: dict | None = None, **overrides):
     if any(round(fov / s) < 1 for fov, s in zip(config.phantom_fov_mm, (sx, sz))):
         raise ConfigError(f"configuration: phantom_fov_mm {config.phantom_fov_mm} is under "
                           f"one {sx} x {sz} mm voxel of layout {config.layout!r}")
-    config.motion_scenario(layout.num_slabs, (0.0, 0.0, 0.0))   # checks the scenario rows
+    config.motion_scenario(layout.num_slabs, (0.0, 0.0, 0.0))   # checks the scenario length
     return config, layout, voxel

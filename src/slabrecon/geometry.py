@@ -50,6 +50,8 @@ class AffineGeometry:
             raise InvalidInput(f"all dims must be >= 1, got {self.dims}")
         if any(not np.isfinite(s) or s <= 0 for s in self.spacing):
             raise InvalidInput(f"all spacings must be > 0, got {self.spacing}")
+        if not np.all(np.isfinite(self.origin)):
+            raise InvalidInput(f"origin must be finite, got {self.origin}")
         if axes.shape != (3, 3) or not np.all(np.isfinite(axes)):
             raise InvalidInput("axes must be a finite 3x3 matrix")
         if not np.allclose(axes.T @ axes, np.eye(3), atol=_ORTHO_TOL):
@@ -86,14 +88,6 @@ class AffineGeometry:
         dims = tuple(int(np.floor(n * s / t + 0.5))
                      for n, s, t in zip(self.dims, self.spacing, spacing))
         return AffineGeometry(dims, spacing, self.origin, self.axes)
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "spacing_mm": list(self.spacing),
-            "origin_mm": list(self.origin),
-            "axes": self.axes.tolist(),
-        }
 
 
 def _euler_matrix(rotation) -> np.ndarray:

@@ -11,7 +11,6 @@ the acquisition presets are read here too.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, fields
 from typing import ClassVar, Union
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, LayoutMismatch
 from .geometry import AffineGeometry, RigidTransform
+from .reports import read_json
 from .volume import InterpolationMethod, Volume, resample
 
 
@@ -172,39 +172,30 @@ class NestedLayout(_Layout):
 SlabLayout = Union[InterleavedLayout, ContiguousLayout, NestedLayout]
 
 
+_KINDS = (InterleavedLayout, ContiguousLayout, NestedLayout)
+_CONVERTERS = {
+    "slices_per_slab": int, "slabs": int, "overlap_slices": int, "slice_thickness_mm": float,
+    "children": lambda specs: tuple(layout_from_dict(c) for c in specs),
+}
+
+
 def layout_from_dict(spec: dict) -> SlabLayout:
     """Inverse of the layouts' ``to_dict``; also reads hand-written layout files."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
+    cls = next((c for c in _KINDS if c.kind == kind), None)
+    if cls is None:
+        raise ConfigError(f"unknown layout kind {kind!r}")
     try:
-        if kind == "interleaved":
-            return InterleavedLayout(
-                slices_per_slab=int(spec["slices_per_slab"]),
-                slabs=int(spec.get("slabs", 2)),
-                slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
-            )
-        if kind == "contiguous":
-            return ContiguousLayout(
-                slices_per_slab=int(spec["slices_per_slab"]),
-                slabs=int(spec.get("slabs", 2)),
-                overlap_slices=int(spec.get("overlap_slices", 1)),
-                slice_thickness_mm=float(spec.get("slice_thickness_mm", 1.2)),
-            )
-        if kind == "nested":
-            children = tuple(layout_from_dict(c) for c in spec["children"])
-            return NestedLayout(children, overlap_slices=int(spec.get("overlap_slices", 1)))
-    except (KeyError, TypeError, ValueError) as exc:
+        return cls(**{f.name: _CONVERTERS[f.name](spec[f.name])
+                      for f in fields(cls) if f.name in spec})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{kind} layout: missing or malformed value ({exc})") from None
-    raise ConfigError(f"unknown layout kind {kind!r}")
 
 
 def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
     """Preset name or path to a JSON layout file -> (layout, voxel spacing)."""
     if os.path.exists(name):
-        with open(name, "r", encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"layout file {name} is not JSON: {exc}") from exc
+        spec = read_json(name, "layout file", ConfigError)
         layout = layout_from_dict(spec)
         default = (0.3, layout.slice_thickness_mm, 0.3)
         try:

@@ -13,14 +13,13 @@ registration, or a fused volume after it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInput, EmptyROI, InvalidInput, LayoutMismatch
 from .layout import InterleavedLayout, SlabLayout
-from .reports import write_json
+from .reports import read_json, write_json
 from .volume import Volume
 
 MOTION_RATING_LEVELS = ("none", "medium", "large")
@@ -275,11 +274,7 @@ def compute_qc(volume: Volume, rois: dict, shift: ShiftReport | None = None,
 
 def load_rois(path) -> dict:
     """Read ROI definitions from a JSON sidecar {label: {center_mm, semi_axes_mm, axes?}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"ROI sidecar {path} is not JSON: {exc}") from exc
+    raw = read_json(path, "ROI sidecar")
     if not isinstance(raw, dict):
         raise InvalidInput("ROI sidecar must be a JSON object keyed by label")
     rois = {}

@@ -368,7 +368,6 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
     params = np.zeros(6)
     trace = []
     evaluations = []
-    final_value = None
     for stride, objective_data in zip(config.pyramid, levels):
         def objective(p):
             return objective_data(_params_to_transform(p, center))
@@ -379,8 +378,6 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
         trace.append((stride, tuple(level_trace)))
         evaluations.append(level_evaluations)
 
-    if final_value is None or not np.isfinite(final_value):
-        raise RegistrationFailed("registration produced a non-finite metric")
     return RegistrationResult(
         transform=_params_to_transform(params, center),
         final_nmi=float(final_value),

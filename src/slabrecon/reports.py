@@ -1,4 +1,4 @@
-"""Deterministic JSON report emission.
+"""Deterministic JSON report emission, and the one reader of JSON input.
 
 Reports are UTF-8 JSON with sorted keys. Everything except the designated
 ``timing_s`` field is a pure function of config + inputs, so two runs with
@@ -8,9 +8,27 @@ the same seed differ at most in that one field.
 from __future__ import annotations
 
 import json
+import math
 
 from . import __version__
+from .errors import InvalidInput
 from .nifti import atomic_write_bytes
+
+
+def _finite(text: str) -> float:
+    # parse_constant sees NaN and Infinity; parse_float sees 1e999, which float() reads as inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def parse_json(text: str, source: str, error=InvalidInput):
+    """JSON text with finite numbers only; other text raises ``error`` naming ``source``."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except ValueError as exc:
+        raise error(f"{source} is not valid JSON: {exc}") from exc
 
 
 def dump_json(payload: dict) -> bytes:
@@ -21,9 +39,10 @@ def write_json(path, payload: dict):
     atomic_write_bytes(path, dump_json(payload))
 
 
-def read_json(path) -> dict:
+def read_json(path, label: str = "JSON file", error=InvalidInput):
+    """``parse_json`` of a file, named in errors as ``label`` and its path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return parse_json(fh.read(), f"{label} {path}", error)
 
 
 def run_report(config_dict: dict, registrations=None, fusion=None, qc=None,

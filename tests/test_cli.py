@@ -1,4 +1,6 @@
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -378,3 +380,66 @@ def test_scenario_rows_and_seed_are_checked_under_every_command(pipeline_dirs, t
     assert code == 2
     assert setting.strip("-").split()[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "qc"])
+@pytest.mark.parametrize("line", [
+    "phantom_length_mm = NaN", "phantom_fov_mm = [NaN, 10.0]", "phantom_fov_mm = [1e999, 10.0]",
+    "phantom_head_width_mm = Infinity", "shift_threshold = NaN",
+])
+def test_non_finite_config_value_is_usage_error(pipeline_dirs, tmp_path, capsys, command, line):
+    # 1e999 is valid JSON grammar that reads as inf
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "finite.cfg"
+    cfg.write_text(line + "\n")
+    code = main([command, *_inputs(command, sim, rec), "--layout", "ns_7t_32ch_t2w_interleaved",
+                 "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"value for {line.split(' =')[0]!r}" in err and "not a finite number" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_layout_file_with_a_nan_voxel_is_usage_error(tmp_path, capsys):
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text('{"kind": "interleaved", "slices_per_slab": 4, '
+                           '"voxel_mm": [NaN, 1.2, 0.3]}')
+    code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"layout file {layout_file}" in err and "NaN is not a finite number" in err
+
+
+def test_roi_sidecar_with_an_infinite_semi_axis_is_data_error(pipeline_dirs, tmp_path, capsys):
+    _, rec, _ = pipeline_dirs
+    rois = tmp_path / "rois.json"
+    rois.write_text('{"GM": {"center_mm": [0, 0, 0], "semi_axes_mm": [Infinity, 1, 1]}}')
+    code = main(["qc", "--volume", str(rec / "fused.nii.gz"), "--rois", str(rois),
+                 "--out", str(tmp_path / "qc")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"ROI sidecar {rois}" in err and "Infinity is not a finite number" in err
+    assert not (tmp_path / "qc").exists()
+
+
+def test_nifti_with_a_nan_origin_is_data_error(pipeline_dirs, tmp_path, capsys):
+    sim, rec, _ = pipeline_dirs
+    raw = bytearray(gzip.decompress((rec / "fused.nii.gz").read_bytes()))
+    struct.pack_into("<f", raw, 280 + 12, float("nan"))   # srow_x[3], the sform's x offset
+    volume = tmp_path / "fused.nii"
+    volume.write_bytes(bytes(raw))
+    code = main(["qc", "--volume", str(volume), "--rois", str(sim / "rois.json"),
+                 "--out", str(tmp_path / "qc")])
+    assert code == 4
+    assert "origin must be finite" in capsys.readouterr().err
+
+
+def test_qc_takes_the_layout_from_its_config_file(pipeline_dirs, tmp_path):
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "qc.cfg"
+    cfg.write_text('layout = "ns_7t_32ch_t2w_interleaved"\n')
+    out = tmp_path / "from_config"
+    assert main(["qc", *_inputs("qc", sim, rec), "--out", str(out), "--config", str(cfg)]) == 0
+    shift = read_json(out / "qc.json")["qc"]["shift"]
+    assert shift is not None
+    assert shift == _qc_shift(sim, rec, tmp_path / "from_flag")[1]
