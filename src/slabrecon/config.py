@@ -19,10 +19,9 @@ from .layout import resolve_layout
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
-from .reports import parse_json
+from .reports import JSON_NUMBER, parse_json, read_text
 from .simulate import LR_INPLANE_FACTOR, MotionScenario
 
-_NUMBER = (int, float)   # matched by type(), so that JSON true and false are no numbers
 _PHANTOM_SIZES = ("length_mm", "height_mm", "body_width_mm", "head_width_mm")
 _DEFAULT_MOTION = [1.5, 0.0, 0.0, 0.0, 0.0, 0.6]   # slab 1's row when scenario is None
 
@@ -91,12 +90,12 @@ def _check_type(key, value) -> None:
     default = _DEFAULTS[key]
     if default is None:
         ok = value is None or isinstance(value, list) and all(
-            isinstance(r, list) and len(r) == 6 and all(type(v) in _NUMBER for v in r)
+            isinstance(r, list) and len(r) == 6 and all(type(v) in JSON_NUMBER for v in r)
             for r in value)
     elif isinstance(default, list):
-        ok = isinstance(value, list) and all(type(v) in _NUMBER for v in value)
+        ok = isinstance(value, list) and all(type(v) in JSON_NUMBER for v in value)
     elif isinstance(default, float):
-        ok = type(value) in _NUMBER
+        ok = type(value) in JSON_NUMBER
     else:
         ok = type(value) is type(default)
     if not ok:
@@ -107,17 +106,16 @@ def _check_type(key, value) -> None:
 def parse_config_file(path) -> dict:
     """Read flat 'key = value' lines; values are JSON literals with finite numbers."""
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            raw[key] = parse_json(value.strip(), f"{path}:{lineno}: value for {key!r}",
-                                  ConfigError)
+    for lineno, line in enumerate(read_text(path, "config file", ConfigError).split("\n"),
+                                  start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        raw[key] = parse_json(value.strip(), f"{path}:{lineno}: value for {key!r}", ConfigError)
     return raw
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, LayoutMismatch
 from .geometry import AffineGeometry, RigidTransform
-from .reports import read_json
+from .reports import json_integer, json_number, read_json
 from .volume import InterpolationMethod, Volume, resample
 
 
@@ -174,7 +174,8 @@ SlabLayout = Union[InterleavedLayout, ContiguousLayout, NestedLayout]
 
 _KINDS = (InterleavedLayout, ContiguousLayout, NestedLayout)
 _CONVERTERS = {
-    "slices_per_slab": int, "slabs": int, "overlap_slices": int, "slice_thickness_mm": float,
+    "slices_per_slab": json_integer, "slabs": json_integer, "overlap_slices": json_integer,
+    "slice_thickness_mm": json_number,
     "children": lambda specs: tuple(layout_from_dict(c) for c in specs),
 }
 
@@ -199,7 +200,7 @@ def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
         layout = layout_from_dict(spec)
         default = (0.3, layout.slice_thickness_mm, 0.3)
         try:
-            sx, sy, sz = (float(v) for v in spec.get("voxel_mm", default))
+            sx, sy, sz = (json_number(v) for v in spec.get("voxel_mm", default))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout file {name}: voxel_mm is not 3 numbers ({exc})") from None
         if min(sx, sy, sz) <= 0:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInput, EmptyROI, InvalidInput, LayoutMismatch
 from .layout import InterleavedLayout, SlabLayout
-from .reports import read_json, write_json
+from .reports import json_number, read_json, write_json
 from .volume import Volume
 
 MOTION_RATING_LEVELS = ("none", "medium", "large")
@@ -281,8 +281,10 @@ def load_rois(path) -> dict:
     for label, entry in raw.items():
         try:
             rois[label] = EllipsoidROI(
-                tuple(entry["center_mm"]), tuple(entry["semi_axes_mm"]),
-                np.array(entry.get("axes", np.eye(3).tolist())),
+                tuple(json_number(v) for v in entry["center_mm"]),
+                tuple(json_number(v) for v in entry["semi_axes_mm"]),
+                np.array([[json_number(v) for v in row]
+                          for row in entry.get("axes", np.eye(3).tolist())]),
                 label=entry.get("label", label),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,9 @@ binned with zero weight, not removed: ``bincount`` sums in input order and
 The optimizer is a deterministic derivative-free compass search over
 (tx, ty, tz, rx, ry, rz): axis steps only, greedy per parameter, with
 fixed initial steps halved on stall (Kolda, Lewis & Torczon, SIAM Review
-45:385, 2003), run coarse-to-fine over in-plane sampling strides.
+45:385, 2003), run coarse-to-fine over in-plane sampling strides; a level
+with more than 16 samples per joint-histogram bin scores a seeded draw of
+that many.
 Identical inputs and config give bit-identical results.
 """
 
@@ -38,6 +40,9 @@ from .volume import InterpolationMethod, Volume, in_field, resample
 
 _NMI_SLACK = 1e-9
 _READ_CHUNK = 16384     # samples per pass of the trilinear read: its buffers stay in cache
+# the most samples a pyramid level scores per joint-histogram bin (Mattes et al.,
+# IEEE TMI 22:120, 2003; Klein, Staring & Pluim, IEEE TIP 16:2879, 2007)
+_SAMPLES_PER_BIN = 16
 
 # Compass-search steps at stride 1; coarser levels scale them by the stride.
 _ROTATION_STEP_DEG = 0.5            # the accuracy bound; halving refines below it
@@ -187,8 +192,9 @@ class RegistrationResult:
     transform: RigidTransform
     final_nmi: float
     trace: tuple
-    masked_voxels: int
+    masked_voxels: int                  # every masked voxel of the slab
     evaluations: tuple[int, ...] = ()   # distinct poses scored, per pyramid level
+    samples: tuple[int, ...] = ()       # masked voxels scored, per pyramid level
     seconds: float = field(default=0.0, compare=False)   # wall time of register_rigid
 
     def to_dict(self) -> dict:
@@ -201,9 +207,9 @@ class RegistrationResult:
             "mask_interpolation": "trilinear",
             "trace": [
                 {"stride": stride, "nmi": [float(v) for v in values],
-                 "evaluations": evaluations}
-                for (stride, values), evaluations
-                in zip(self.trace, self.evaluations, strict=True)
+                 "evaluations": evaluations, "samples": samples}
+                for (stride, values), evaluations, samples
+                in zip(self.trace, self.evaluations, self.samples, strict=True)
             ],
         }
 
@@ -215,7 +221,7 @@ class _MaskedNmiObjective:
     Owns the sample setup shared by ``joint_histogram`` and the registration
     search: the mask selection, the moving range (over all masked voxels),
     the fixed range (over its full grid), the moving bin of each sample (as
-    its row offset in the histogram) and the in-plane stride subset
+    its row offset in the histogram) and the samples a pyramid level scores
     (``at_stride``). The fixed image is kept flat and edge-padded by one
     voxel, with the flat offsets of the 8 corners of a trilinear cell, for
     ``_trilinear``; the stride subsets share them. Samples that land out of
@@ -250,10 +256,16 @@ class _MaskedNmiObjective:
         return self.index.shape[1]
 
     def at_stride(self, stride: int) -> "_MaskedNmiObjective":
-        """The samples on every ``stride``-th voxel along x and z."""
-        keep = (self.index[0] % stride == 0) & (self.index[2] % stride == 0)
-        if not keep.any():
+        """The samples on every ``stride``-th voxel along x and z or, above
+        ``_SAMPLES_PER_BIN`` per histogram bin, a seeded draw of that many. The
+        draw depends on the mask alone and keeps raster order, for cache-friendly
+        reads and a fixed ``bincount`` order."""
+        keep = np.flatnonzero((self.index[0] % stride == 0) & (self.index[2] % stride == 0))
+        if not keep.size:
             raise EmptyOverlap(f"mask empty at sampling stride {stride}")
+        cap = _SAMPLES_PER_BIN * self.bins * self.bins
+        if keep.size > cap:
+            keep = np.sort(np.random.default_rng(0).choice(keep, cap, replace=False))
         subset = copy.copy(self)
         subset.index = self.index[:, keep]
         subset.mov_base = self.mov_base[keep]
@@ -382,8 +394,9 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
         transform=_params_to_transform(params, center),
         final_nmi=float(final_value),
         trace=tuple(trace),
-        masked_voxels=levels[-1].n_samples,
+        masked_voxels=samples.n_samples,
         evaluations=tuple(evaluations),
+        samples=tuple(level.n_samples for level in levels),
         seconds=time.perf_counter() - start,
     )
 

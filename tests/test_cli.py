@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slabrecon import RegistrationFailed, RigidTransform
+from slabrecon import read_volume
 from slabrecon.cli import main
 from slabrecon.registration import RegistrationResult
 from slabrecon.reports import read_json
@@ -443,3 +444,96 @@ def test_qc_takes_the_layout_from_its_config_file(pipeline_dirs, tmp_path):
     shift = read_json(out / "qc.json")["qc"]["shift"]
     assert shift is not None
     assert shift == _qc_shift(sim, rec, tmp_path / "from_flag")[1]
+
+
+def test_report_counts_every_masked_voxel_and_the_samples_each_level_scores(pipeline_dirs):
+    # NS slabs: 88 x 23 x 64 acquired voxels; strides 4 and 2 keep every voxel of
+    # their in-plane lattice, and stride 1 scores 16 samples per bin of 64 x 64
+    sim, rec, _ = pipeline_dirs
+    registrations = read_json(rec / "report.json")["registrations"]
+    assert len(registrations) == 2
+    for j, registration in enumerate(registrations):
+        acquired = read_volume(sim / f"slab_{j:02d}.nii.gz").data.size
+        assert registration["masked_voxels"] == acquired == 88 * 23 * 64
+        assert [level["stride"] for level in registration["trace"]] == [4, 2, 1]
+        assert [level["samples"] for level in registration["trace"]] == [
+            22 * 23 * 16, 44 * 23 * 32, 16 * 64 * 64]
+
+
+def _unreadable(tmp_path, kind):
+    """A path that does not exist, a directory, or a file that is not UTF-8."""
+    path = tmp_path / f"input-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not UTF-8":
+        path.write_bytes(b"\xff\xfe{}")
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+def test_simulate_with_an_unreadable_config_file_is_usage_error(tmp_path, capsys, kind):
+    cfg = _unreadable(tmp_path, kind)
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert f"config file {cfg}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+def test_qc_with_an_unreadable_roi_sidecar_is_data_error(pipeline_dirs, tmp_path, capsys, kind):
+    _, rec, _ = pipeline_dirs
+    rois = _unreadable(tmp_path, kind)
+    code = main(["qc", "--volume", str(rec / "fused.nii.gz"), "--rois", str(rois),
+                 "--out", str(tmp_path / "qc")])
+    assert code == 4
+    assert f"ROI sidecar {rois}" in capsys.readouterr().err
+    assert not (tmp_path / "qc").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    '"voxel_mm": ["nan", 1.2, 0.3]', '"voxel_mm": [0.3, true, 0.3]',
+    '"slice_thickness_mm": "inf"', '"slices_per_slab": "4"', '"slabs": true',
+    '"slabs": 2.5',
+])
+def test_layout_file_number_fields_take_json_numbers_only(tmp_path, capsys, fields):
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text('{"kind": "interleaved", "slices_per_slab": 4, ' + fields + "}")
+    code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "layout" in err and ("is not a number" in err or "is not an integer" in err)
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    '"center_mm": [0, 0, 0], "semi_axes_mm": ["inf", 1, 1]',
+    '"center_mm": ["0", 0, 0], "semi_axes_mm": [1, 1, 1]',
+    '"center_mm": [0, 0, 0], "semi_axes_mm": [true, 1, 1]',
+    '"center_mm": [0, 0, 0], "semi_axes_mm": [1, 1, 1], '
+    '"axes": [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]',
+])
+def test_roi_sidecar_number_fields_take_json_numbers_only(pipeline_dirs, tmp_path, capsys,
+                                                          entry):
+    _, rec, _ = pipeline_dirs
+    rois = tmp_path / "rois.json"
+    rois.write_text('{"GM": {' + entry + "}}")
+    code = main(["qc", "--volume", str(rec / "fused.nii.gz"), "--rois", str(rois),
+                 "--out", str(tmp_path / "qc")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "ROI 'GM'" in err and "is not a number" in err
+    assert not (tmp_path / "qc").exists()
+
+
+@pytest.mark.parametrize("key, template", [
+    ("phantom_fov_mm", "[{}, 10.0]"), ("phantom_length_mm", "{}"), ("seed", "-{}"),
+])
+def test_config_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys, key, template):
+    # JSON integers are exact: 1 and 400 zeros reads as an int that float() cannot hold
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = {template.format('1' + '0' * 400)}\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"value for {key!r}" in err and "too large for a float" in err
+    assert not (tmp_path / "out").exists()

@@ -458,3 +458,57 @@ def test_report_lists_evaluations_per_level(motion_dataset, interleaved_layout):
     for level in levels:
         # the first sweep scores the start and its 12 neighbours
         assert level["evaluations"] >= 13
+
+
+# --- samples per level -------------------------------------------------------
+
+def _flat(objective, dims):
+    return np.ravel_multi_index(objective.index.astype(np.intp), dims)
+
+
+def test_finest_level_scores_a_fixed_draw_of_16_samples_per_bin(motion_dataset,
+                                                                interleaved_layout):
+    ds, reference, _ = motion_dataset
+    padded = pad_slab(ds.slabs[1], interleaved_layout, 1)
+    dims = padded.signal.dims
+    full = _MaskedNmiObjective(padded.signal, padded.mask, reference, 64)
+    assert full.n_samples == 129_536
+    level = full.at_stride(1)
+    assert level.n_samples == 16 * 64 * 64 == 65_536
+    drawn, every = _flat(level, dims), _flat(full, dims)
+    assert (np.diff(drawn) > 0).all()   # distinct, in raster order
+    position = np.searchsorted(every, drawn)
+    assert np.array_equal(every[position], drawn)   # a subset of the stride-1 samples
+    assert np.array_equal(level.mov_base, full.mov_base[position])
+    # the draw depends on the mask alone: a second build and a scaled signal agree
+    again = _MaskedNmiObjective(padded.signal, padded.mask, reference, 64).at_stride(1)
+    doubled = Volume(padded.signal.geometry, 2.0 * padded.signal.data)
+    scaled = _MaskedNmiObjective(doubled, padded.mask, reference, 64).at_stride(1)
+    assert np.array_equal(again.index, level.index)
+    assert np.array_equal(scaled.index, level.index)
+    assert np.array_equal(scaled.mov_base, level.mov_base)
+    # the coarser levels are under the cap and keep their whole lattice
+    for stride, count in ((2, 32_384), (4, 8_096)):
+        coarse = full.at_stride(stride)
+        on_lattice = (full.index[0] % stride == 0) & (full.index[2] % stride == 0)
+        assert coarse.n_samples == count == on_lattice.sum()
+        assert np.array_equal(coarse.index, full.index[:, on_lattice])
+
+
+def test_objective_at_or_under_the_cap_keeps_every_sample_at_every_stride():
+    moving, fixed, mask = random_pair()
+    full = _MaskedNmiObjective(moving, mask, fixed, 64)
+    assert full.n_samples < 16 * 64 * 64
+    for stride in (1, 2, 3):
+        on_lattice = (full.index[0] % stride == 0) & (full.index[2] % stride == 0)
+        level = full.at_stride(stride)
+        assert np.array_equal(level.index, full.index[:, on_lattice])
+        assert np.array_equal(level.mov_base, full.mov_base[on_lattice])
+    # 8 bins: the cap is 1,024 samples; exactly that many are all kept, one more is not
+    for dims in ((16, 8, 8), (1025, 1, 1)):
+        volume = bin_exact_volume(seed=2, dims=dims, bins=8)
+        whole = _MaskedNmiObjective(volume, full_mask(volume), volume, 8)
+        level = whole.at_stride(1)
+        assert level.n_samples == 1024
+        assert (np.diff(_flat(level, dims)) > 0).all()
+        assert np.array_equal(level.index, whole.index) == (whole.n_samples == 1024)
