@@ -219,6 +219,13 @@ class PaddedSlab:
     slab_index: int
 
 
+def _slice_grid(geom: AffineGeometry, slices: int, spacing: float, shift) -> AffineGeometry:
+    """``geom`` with ``slices`` slices ``spacing`` mm apart, its origin moved by ``shift``."""
+    dims = (geom.dims[0], slices, geom.dims[2])
+    spacings = (geom.spacing[0], spacing, geom.spacing[2])
+    return AffineGeometry(dims, spacings, tuple(np.asarray(geom.origin) + shift), geom.axes)
+
+
 def pad_slab(acquired: Volume, layout: SlabLayout, slab_index: int) -> PaddedSlab:
     """Insert null slices so the slab reaches final-stack dimensions.
 
@@ -239,12 +246,7 @@ def pad_slab(acquired: Volume, layout: SlabLayout, slab_index: int) -> PaddedSla
             f"layout slab spacing {spacing} mm"
         )
     # padded slice 'owned[0]' coincides with acquired slice 0
-    padded = AffineGeometry(
-        (geom.dims[0], layout.final_slices, geom.dims[2]),
-        (geom.spacing[0], layout.slice_thickness_mm, geom.spacing[2]),
-        tuple(np.asarray(geom.origin) - shift),
-        geom.axes,
-    )
+    padded = _slice_grid(geom, layout.final_slices, layout.slice_thickness_mm, -shift)
     signal = np.zeros(padded.dims)
     mask = np.zeros(padded.dims)
     signal[:, owned, :] = acquired.data
@@ -263,12 +265,7 @@ def split_volume(full: Volume, layout: SlabLayout) -> list[Volume]:
     for j in range(layout.num_slabs):
         owned = layout.owned_slices(j)
         shift, spacing = layout.slab_offset(j, geom.axes)
-        sub = AffineGeometry(
-            (geom.dims[0], len(owned), geom.dims[2]),
-            (geom.spacing[0], spacing, geom.spacing[2]),
-            tuple(np.asarray(geom.origin) + shift),
-            geom.axes,
-        )
+        sub = _slice_grid(geom, len(owned), spacing, shift)
         slabs.append(Volume(sub, full.data[:, owned, :]))
     return slabs
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gzip
 import os
-import struct
 import zlib
 
 import numpy as np
@@ -28,7 +27,16 @@ from .geometry import AffineGeometry
 from .volume import Volume
 
 HEADER_SIZE = 348
-MAGIC_OFFSET = 344
+# the NIfTI-1 header fields this module reads or writes, at their byte offsets
+_HEADER = np.dtype({
+    "names": ["sizeof_hdr", "dim", "datatype", "bitpix", "pixdim", "vox_offset",
+              "scl_slope", "scl_inter", "qform_code", "sform_code", "quatern",
+              "qoffset", "srow", "magic"],
+    "formats": ["<i4", ("<i2", 8), "<i2", "<i2", ("<f4", 8), "<f4", "<f4", "<f4",
+                "<i2", "<i2", ("<f4", 3), ("<f4", 3), ("<f4", (3, 4)), "S4"],
+    "offsets": [0, 40, 70, 72, 76, 108, 112, 116, 252, 254, 256, 268, 280, 344],
+    "itemsize": HEADER_SIZE,
+})
 _DATATYPES = {
     2: np.dtype(np.uint8),
     4: np.dtype(np.int16),
@@ -60,8 +68,9 @@ def _maybe_decompress(raw: bytes, path) -> bytes:
     return raw
 
 
-def _unpack(fmt, buf, offset):
-    return struct.unpack_from(fmt, buf, offset)
+def _at(field):
+    """Byte offset of a header field."""
+    return _HEADER.fields[field][1]
 
 
 def read_volume(path) -> Volume:
@@ -72,48 +81,47 @@ def read_volume(path) -> Volume:
     if len(raw) < HEADER_SIZE:
         raise ParseError(f"file shorter than the {HEADER_SIZE}-byte header", offset=0)
 
-    (sizeof_hdr,) = _unpack("<i", raw, 0)
-    if sizeof_hdr == HEADER_SIZE:
-        bo = "<"
-    elif struct.unpack_from(">i", raw, 0)[0] == HEADER_SIZE:
-        bo = ">"
+    for bo in "<>":
+        hdr = np.frombuffer(raw, _HEADER.newbyteorder(bo), count=1)[0]
+        if hdr["sizeof_hdr"] == HEADER_SIZE:
+            break
     else:
-        raise ParseError(f"sizeof_hdr is {sizeof_hdr}, expected {HEADER_SIZE}", offset=0)
+        raise ParseError(f"sizeof_hdr is not {HEADER_SIZE} in either byte order",
+                         offset=_at("sizeof_hdr"))
 
-    magic = raw[MAGIC_OFFSET:MAGIC_OFFSET + 4]
-    if magic == b"ni1\x00":
+    magic = hdr["magic"]
+    if magic == b"ni1":
         raise UnsupportedFormat("two-file NIfTI (.hdr/.img pairs) is not supported")
-    if magic != b"n+1\x00":
-        raise ParseError(f"bad magic {magic!r}", offset=MAGIC_OFFSET)
+    if magic != b"n+1":
+        raise ParseError(f"bad magic {magic!r}", offset=_at("magic"))
 
-    dim = _unpack(bo + "8h", raw, 40)
+    dim = hdr["dim"].tolist()
     ndim = dim[0]
     if not 1 <= ndim <= 7:
-        raise ParseError(f"dim[0] = {ndim} outside [1, 7]", offset=40)
+        raise ParseError(f"dim[0] = {ndim} outside [1, 7]", offset=_at("dim"))
     if ndim < 3:
         raise UnsupportedFormat(f"need a 3D volume, got {ndim}D")
     if any(d > 1 for d in dim[4:1 + ndim]):
-        raise UnsupportedFormat(f"non-scalar/4D+ volume with dim = {dim[:1 + ndim]}")
-    dims = tuple(int(d) for d in dim[1:4])
+        raise UnsupportedFormat(f"non-scalar/4D+ volume with dim = {tuple(dim[:1 + ndim])}")
+    dims = tuple(dim[1:4])
     if any(d < 1 for d in dims):
-        raise ParseError(f"non-positive spatial dims {dims}", offset=40)
+        raise ParseError(f"non-positive spatial dims {dims}", offset=_at("dim"))
 
-    (datatype, bitpix) = _unpack(bo + "hh", raw, 70)
+    datatype, bitpix = int(hdr["datatype"]), int(hdr["bitpix"])
     dtype = _DATATYPES.get(datatype)
     if dtype is None:
         raise UnsupportedFormat(f"unsupported datatype code {datatype}")
     if bitpix != dtype.itemsize * 8:
         raise ParseError(
-            f"bitpix {bitpix} disagrees with datatype {datatype}", offset=72
+            f"bitpix {bitpix} disagrees with datatype {datatype}", offset=_at("bitpix")
         )
 
-    pixdim = _unpack(bo + "8f", raw, 76)
-    (vox_offset,) = _unpack(bo + "f", raw, 108)
+    vox_offset = float(hdr["vox_offset"])
+    if not np.isfinite(vox_offset) or vox_offset < HEADER_SIZE:
+        raise ParseError(f"vox_offset {vox_offset} is not a byte offset past the header",
+                         offset=_at("vox_offset"))
     vox_offset = int(vox_offset)
-    if vox_offset < HEADER_SIZE:
-        raise ParseError(f"vox_offset {vox_offset} precedes the header end", offset=108)
-    (scl_slope, scl_inter) = _unpack(bo + "ff", raw, 112)
-    (qform_code, sform_code) = _unpack(bo + "hh", raw, 252)
+    scl_slope, scl_inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
 
     n_values = int(np.prod(dims))
     n_bytes = n_values * dtype.itemsize
@@ -129,34 +137,26 @@ def read_volume(path) -> Volume:
         slope = scl_slope if scl_slope != 0.0 else 1.0
         data = data * slope + scl_inter
     data = data.reshape(dims, order="F")
-
-    geometry = _geometry_from_header(bo, raw, dims, pixdim, qform_code, sform_code)
-    return Volume(geometry, data)
+    return Volume(_geometry_from_header(hdr, dims), data)
 
 
-def _geometry_from_header(bo, raw, dims, pixdim, qform_code, sform_code) -> AffineGeometry:
-    if sform_code > 0:
-        rows = [
-            _unpack(bo + "4f", raw, 280),
-            _unpack(bo + "4f", raw, 296),
-            _unpack(bo + "4f", raw, 312),
-        ]
-        mat = np.array(rows, dtype=float)
-        linear = mat[:, :3]
-        origin = mat[:, 3]
-    elif qform_code > 0:
-        b, c, d = _unpack(bo + "3f", raw, 256)
-        origin = np.array(_unpack(bo + "3f", raw, 268), dtype=float)
-        a_sq = 1.0 - (b * b + c * c + d * d)
-        a = float(np.sqrt(max(a_sq, 0.0)))
+def _geometry_from_header(hdr, dims) -> AffineGeometry:
+    pixdim = hdr["pixdim"].astype(float)
+    spac = np.abs(pixdim[1:4])
+    spac[spac == 0] = 1.0
+    if hdr["sform_code"] > 0:
+        srow = hdr["srow"].astype(float)
+        linear, origin = srow[:, :3], srow[:, 3]
+    elif hdr["qform_code"] > 0:
+        b, c, d = hdr["quatern"].tolist()
+        if not np.isfinite([b, c, d]).all():
+            raise ParseError(f"quatern {(b, c, d)} is not finite", offset=_at("quatern"))
+        origin = hdr["qoffset"].astype(float)
+        a = float(np.sqrt(max(1.0 - (b * b + c * c + d * d), 0.0)))
         rot = Rotation.from_quat([b, c, d, a]).as_matrix()
         qfac = -1.0 if pixdim[0] < 0 else 1.0
-        spac = np.array([abs(pixdim[1]), abs(pixdim[2]), abs(pixdim[3])])
-        spac[spac == 0] = 1.0
         linear = rot @ np.diag([spac[0], spac[1], spac[2] * qfac])
     else:
-        spac = np.array([abs(pixdim[1]), abs(pixdim[2]), abs(pixdim[3])])
-        spac[spac == 0] = 1.0
         return AffineGeometry(dims, tuple(spac))
 
     spacing = np.linalg.norm(linear, axis=0)
@@ -181,7 +181,7 @@ def _quaternion_fields(geometry: AffineGeometry):
     quat = Rotation.from_matrix(axes).as_quat()  # x, y, z, w
     if quat[3] < 0:
         quat = -quat
-    return qfac, float(quat[0]), float(quat[1]), float(quat[2])
+    return qfac, quat[:3]
 
 
 def write_volume(volume: Volume, path):
@@ -193,24 +193,21 @@ def write_volume(volume: Volume, path):
     9 at about a quarter of the time; the decoded bytes do not depend on it.
     """
     geom = volume.geometry
-    header = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", header, 0, HEADER_SIZE)
-    struct.pack_into("<8h", header, 40, 3, *geom.dims, 1, 1, 1, 1)
-    struct.pack_into("<hh", header, 70, _FLOAT32_CODE, 32)
-    qfac, qb, qc, qd = _quaternion_fields(geom)
-    struct.pack_into("<8f", header, 76, qfac, *geom.spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", header, 108, 352.0)  # vox_offset
-    struct.pack_into("<ff", header, 112, 1.0, 0.0)  # scl_slope, scl_inter
-    struct.pack_into("<hh", header, 252, 1, 1)  # qform_code, sform_code
-    struct.pack_into("<3f", header, 256, qb, qc, qd)
-    struct.pack_into("<3f", header, 268, *geom.origin)
-    affine = geom.axes * np.asarray(geom.spacing)
-    struct.pack_into("<4f", header, 280, *affine[0], geom.origin[0])
-    struct.pack_into("<4f", header, 296, *affine[1], geom.origin[1])
-    struct.pack_into("<4f", header, 312, *affine[2], geom.origin[2])
-    header[MAGIC_OFFSET:MAGIC_OFFSET + 4] = b"n+1\x00"
+    qfac, quatern = _quaternion_fields(geom)
+    hdr = np.zeros((), _HEADER)
+    hdr["sizeof_hdr"] = HEADER_SIZE
+    hdr["dim"] = (3, *geom.dims, 1, 1, 1, 1)
+    hdr["datatype"], hdr["bitpix"] = _FLOAT32_CODE, 32
+    hdr["pixdim"] = (qfac, *geom.spacing, 0.0, 0.0, 0.0, 0.0)
+    hdr["vox_offset"] = HEADER_SIZE + 4  # no header extensions
+    hdr["scl_slope"] = 1.0
+    hdr["qform_code"] = hdr["sform_code"] = 1
+    hdr["quatern"] = quatern
+    hdr["qoffset"] = geom.origin
+    hdr["srow"] = np.column_stack([geom.axes * np.asarray(geom.spacing), geom.origin])
+    hdr["magic"] = b"n+1"
 
-    payload = bytes(header) + b"\x00" * 4  # no header extensions
+    payload = hdr.tobytes() + b"\x00" * 4
     payload += volume.data.astype("<f4").tobytes(order="F")
 
     path = os.fspath(path)

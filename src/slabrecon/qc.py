@@ -214,16 +214,13 @@ def shift_index(stack, layout: SlabLayout, threshold: float = DEFAULT_SHIFT_THRE
             return None
         return _ncc(data[:, j, :][region], data[:, j + step, :][region])
 
+    def profile(step):
+        """(j, r) for every slice pair (j, j + step) with a defined correlation r."""
+        pairs = ((j, pair_ncc(j, step)) for j in range(n_slices - step))
+        return [(j, r) for j, r in pairs if r is not None]
+
     k = layout.slabs
-    cross, same = [], []
-    for j in range(n_slices - 1):
-        r = pair_ncc(j, 1)
-        if r is not None:
-            cross.append((j, r))
-    for j in range(n_slices - k):
-        r = pair_ncc(j, k)
-        if r is not None:
-            same.append((j, r))
+    cross, same = profile(1), profile(k)
     if not cross or not same:
         return ShiftReport(None, None, False, threshold, degenerate=True)
 

@@ -18,7 +18,7 @@ from .geometry import RigidTransform, invert
 from .layout import SlabLayout, split_volume
 from .volume import InterpolationMethod, Volume, resample
 
-POSSIBLE_MOTIONS = ("rot_x", "rot_y", "rot_z", "trans_z")
+_COMPONENTS = ("rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z")
 IMPOSSIBLE_MOTIONS = ("trans_x", "trans_y")
 
 REALISTIC_MAX_ROTATION_DEG = 5.0
@@ -30,16 +30,8 @@ LR_INPLANE_FACTOR = 2.0   # LR voxel along the in-plane z axis, in HR voxels
 
 def classify_motion(transform: RigidTransform) -> list[str]:
     """Non-zero motion components of a transform, e.g. ['rot_x', 'trans_z']."""
-    labels = []
-    names = ("rot_x", "rot_y", "rot_z")
-    for name, angle in zip(names, transform.rotation):
-        if abs(angle) > _COMPONENT_TOL:
-            labels.append(name)
-    names = ("trans_x", "trans_y", "trans_z")
-    for name, t in zip(names, transform.translation):
-        if abs(t) > _COMPONENT_TOL:
-            labels.append(name)
-    return labels
+    values = transform.rotation + transform.translation
+    return [name for name, v in zip(_COMPONENTS, values) if abs(v) > _COMPONENT_TOL]
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,7 @@ class MotionScenario:
     def realistic(self) -> bool:
         """True when every slab motion uses coil-possible components within limits."""
         for t in self.transforms:
-            labels = classify_motion(t)
-            if any(lab in IMPOSSIBLE_MOTIONS for lab in labels):
+            if any(lab in IMPOSSIBLE_MOTIONS for lab in classify_motion(t)):
                 return False
             if np.degrees(np.max(np.abs(t.rotation))) > REALISTIC_MAX_ROTATION_DEG + 1e-9:
                 return False

@@ -123,9 +123,11 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     idx = idx[:, keep]
     results = []
     for volume in volumes:
-        # mirror boundary: inside the hull it changes nothing, and extended
-        # sampling stays consistent with the cubic B-spline prefilter, which
-        # map_coordinates runs with the same boundary
+        # mirror boundary: reflect about the first and last voxel centres
+        # (d[-1] = d[1]), the boundary of the cubic prefilter map_coordinates
+        # runs. The outer half-voxel band of the hull reads the reflection:
+        # at index -0.5 a linear read gives (d[0] + d[1]) / 2, where the
+        # registration objective reads "nearest", which gives d[0]
         values = np.zeros(target.n_voxels)
         values[keep] = ndimage.map_coordinates(volume.data, idx, order=method.value,
                                                mode="mirror")

@@ -537,3 +537,25 @@ def test_config_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys, k
     assert code == 2
     assert f"value for {key!r}" in err and "too large for a float" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, offset, patch", [
+    ("vox_offset", 108, [("<f", 108, (float("nan"),))]),
+    ("vox_offset", 108, [("<f", 108, (float("inf"),))]),
+    ("quatern", 256, [("<h", 254, (0,)), ("<3f", 256, (float("nan"), 0.0, 0.0))]),
+], ids=["nan_vox_offset", "inf_vox_offset", "qform_only_nan_quatern"])
+def test_qc_with_a_malformed_nifti_header_is_data_error(pipeline_dirs, tmp_path, capsys,
+                                                        field, offset, patch):
+    # a non-finite vox_offset, or a qform-only file with a NaN quaternion
+    sim, rec, _ = pipeline_dirs
+    raw = bytearray(gzip.decompress((rec / "fused.nii.gz").read_bytes()))
+    for fmt, at, values in patch:
+        struct.pack_into(fmt, raw, at, *values)
+    bad = tmp_path / "bad.nii"
+    bad.write_bytes(bytes(raw))
+    code = main(["qc", "--volume", str(bad), "--rois", str(sim / "rois.json"),
+                 "--out", str(tmp_path / "qc")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert field in err and f"(byte offset {offset})" in err
+    assert not (tmp_path / "qc").exists()

@@ -231,3 +231,34 @@ def test_noisy_gzip_output_is_no_larger_than_level_9(tmp_path, standard_phantom)
     payload = gzip.decompress((tmp_path / "noisy.nii.gz").read_bytes())
     size = (tmp_path / "noisy.nii.gz").stat().st_size
     assert size <= 1.01 * len(gzip.compress(payload, 9))
+
+
+def test_header_fields_sit_at_the_nifti1_offsets(tmp_path):
+    # read back with struct at the offsets of the NIfTI-1 standard, so a
+    # wrong offset shared by reader and writer cannot pass a round trip
+    axes = Rotation.from_euler("xyz", [0.3, -0.2, 0.1]).as_matrix() @ np.diag([1.0, 1.0, -1.0])
+    vol = float32_volume(dims=(7, 5, 6), origin=(4.5, -2.25, 11.0), axes=axes)
+    path = tmp_path / "fields.nii"
+    write_volume(vol, path)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<i", raw, 0) == (348,)
+    assert struct.unpack_from("<8h", raw, 40) == (3, 7, 5, 6, 1, 1, 1, 1)
+    assert struct.unpack_from("<hh", raw, 70) == (16, 32)   # float32, 32 bits
+    pixdim = struct.unpack_from("<8f", raw, 76)
+    assert pixdim[0] == -1.0                                # qfac of a reflected grid
+    assert np.allclose(pixdim[1:4], vol.geometry.spacing, atol=1e-6)
+    assert struct.unpack_from("<f", raw, 108) == (352.0,)  # vox_offset
+    assert struct.unpack_from("<ff", raw, 112) == (1.0, 0.0)
+    assert struct.unpack_from("<hh", raw, 252) == (1, 1)   # qform_code, sform_code
+    b, c, d = struct.unpack_from("<3f", raw, 256)
+    a = np.sqrt(1.0 - (b * b + c * c + d * d))
+    rot = np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - c * c - b * b],
+    ])
+    assert np.abs(rot @ np.diag([1.0, 1.0, pixdim[0]]) - axes).max() <= 1e-6
+    assert np.allclose(struct.unpack_from("<3f", raw, 268), vol.geometry.origin, atol=1e-6)
+    assert raw[344:348] == b"n+1\x00"
+    assert len(raw) == 352 + 4 * vol.data.size
+

@@ -100,6 +100,18 @@ def test_classification_labels():
     assert classify_motion(RigidTransform.identity()) == []
 
 
+@pytest.mark.parametrize("axis", range(6))
+def test_each_motion_component_alone_gets_its_own_label(axis):
+    values = [0.0] * 6
+    values[axis] = 0.02
+    t = RigidTransform(rotation=values[:3], translation=values[3:])
+    names = ["rot_x", "rot_y", "rot_z", "trans_x", "trans_y", "trans_z"]
+    assert classify_motion(t) == [names[axis]]
+    # rotations and z translations are coil-possible; x and y translations are not
+    scenario = MotionScenario((RigidTransform.identity(), t))
+    assert scenario.realistic == (names[axis] not in ("trans_x", "trans_y"))
+
+
 def test_realistic_scenario_rules():
     possible = MotionScenario((
         RigidTransform.identity(),
