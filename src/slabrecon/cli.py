@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="combine slabs + LR reference into one volume",
                        description="Combine slabs + LR reference into one volume. Linux only: "
-                                   "the slabs register in forked workers, one per CPU that "
-                                   "os.sched_getaffinity reports.")
+                                   "the slabs register and reslice in forked workers, one "
+                                   "per CPU that os.sched_getaffinity reports.")
     common(p)
     p.add_argument("--slabs", nargs="+", required=True, help="acquired slab volumes, in slab order")
     p.add_argument("--lr", required=True, help="low-resolution reference volume")

@@ -45,6 +45,17 @@ class FusionOutput:
         }
 
 
+def _canonical_sum(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-voxel sum in ascending order, the bits of ``np.sort(np.stack(arrays),
+    axis=0).sum(axis=0)``: an odd-even transposition network of elementwise
+    min/max sorts each voxel's values, then they are added to 0 first to last."""
+    values = list(arrays)
+    for rnd in range(len(values)):
+        for i in range(rnd % 2, len(values) - 1, 2):
+            values[i:i + 2] = np.minimum(*values[i:i + 2]), np.maximum(*values[i:i + 2])
+    return sum(values)
+
+
 def fuse(signals: list[Volume], masks: list[Volume],
          epsilon: float = DEFAULT_EPSILON) -> FusionOutput:
     """Divide the summed signals by the summed masks where coverage suffices.
@@ -64,70 +75,66 @@ def fuse(signals: list[Volume], masks: list[Volume],
     for m in masks:
         lo, hi = m.value_range()
         if lo < -1e-6 or hi > 1.0 + 1e-6:
-            raise InvalidInput(
-                f"mask values [{lo:.3f}, {hi:.3f}] outside [0, 1]"
-            )
+            raise InvalidInput(f"mask values [{lo:.3f}, {hi:.3f}] outside [0, 1]")
 
-    signal_sum = np.sort(np.stack([s.data for s in signals]), axis=0).sum(axis=0)
-    mask_sum = np.sort(np.stack([m.data for m in masks]), axis=0).sum(axis=0)
-
+    signal_sum = _canonical_sum([s.data for s in signals])
+    mask_sum = _canonical_sum([m.data for m in masks])
     covered = mask_sum >= epsilon
-    fused = np.zeros(geom.dims)
+    fused = np.zeros(geom.dims)   # uncovered voxels stay 0
     np.divide(signal_sum, mask_sum, out=fused, where=covered)
-    fused[~covered] = 0.0
-    uncovered = 1.0 - covered.mean()
     return FusionOutput(
         fused=Volume(geom, fused),
         mask_sum=Volume(geom, mask_sum),
         coverage_map=Volume(geom, covered.astype(float)),
-        uncovered_fraction=float(uncovered),
+        uncovered_fraction=float(1.0 - covered.mean()),
     )
 
 
-def _register_slab(padded, reference, config) -> RegistrationResult:
-    """``register_rigid``, with the slab's number in front of a failure."""
+def _register_slab(padded, reference, config, target) -> tuple:
+    """``register_rigid``, with the slab's number in front of a failure, then
+    ``apply_result`` onto ``target``: the result, resliced signal and mask."""
     try:
-        return register_rigid(padded, reference, config)
+        result = register_rigid(padded, reference, config)
     except RegistrationFailed as exc:
         raise RegistrationFailed(f"slab {padded.slab_index}: {exc}") from exc
+    return (result, *apply_result(padded, result, target))
 
 
-def _register_in_child(send, padded, reference, config) -> None:
-    """Worker body: send one slab's result, or the exception it raised."""
+def _register_in_child(send, padded, reference, config, target) -> None:
+    """Worker body: send one slab's registration and reslice, or the exception it raised."""
     try:
-        outcome = _register_slab(padded, reference, config)
+        outcome = _register_slab(padded, reference, config, target)
     except Exception as exc:  # the parent raises it, in slab order
         outcome = exc
     with send:
         send.send(outcome)
 
 
-def _register_slabs(padded, reference, config) -> list[RegistrationResult]:
-    """``register_rigid`` of every padded slab, in batches of one per CPU.
+def _register_slabs(padded, reference, config, target) -> list[tuple]:
+    """``_register_slab`` of every padded slab, in batches of one per CPU.
 
-    In each batch the calling process forks a child for every slab but the
-    first, registers the first itself, then reads the children's results in
-    slab order; the results equal a serial loop's. A child reads its inputs
-    from the memory fork gave it (never pickled) and sends back only its
-    result or exception over a pipe. The first failure in slab order is
-    raised: the children still running are stopped and later batches never
-    start. A daemonic process, such as a Pool worker, may not fork, so its
-    batches hold one slab.
+    The caller forks a child for every slab of a batch but the first, which
+    it registers and reslices itself, then reads the children's outcomes in
+    slab order; they equal a serial loop's. A child gets its inputs through
+    fork (never pickled) and sends back its outcome or exception over a pipe.
+    The first failure in slab order is raised: the children still running
+    are stopped and later batches never start. A daemonic process, such as a
+    Pool worker, may not fork, so its batches hold one slab.
     """
     ctx = multiprocessing.get_context("fork")
     batch = 1 if ctx.current_process().daemon else len(os.sched_getaffinity(0))
-    results = []
+    outcomes = []
     for first in range(0, len(padded), batch):
         children = []
         try:
             for j in range(first + 1, min(first + batch, len(padded))):
                 receive, send = ctx.Pipe(duplex=False)
                 child = ctx.Process(target=_register_in_child,
-                                    args=(send, padded[j], reference, config))
+                                    args=(send, padded[j], reference, config, target))
                 child.start()
                 send.close()
                 children.append((j, receive, child))
-            results.append(_register_slab(padded[first], reference, config))
+            outcomes.append(_register_slab(padded[first], reference, config, target))
             for j, receive, child in children:
                 try:
                     outcome = receive.recv()
@@ -139,7 +146,7 @@ def _register_slabs(padded, reference, config) -> list[RegistrationResult]:
                 child.join()
                 if isinstance(outcome, Exception):
                     raise outcome
-                results.append(outcome)
+                outcomes.append(outcome)
         finally:
             for _, receive, child in children:
                 if child.exitcode is None:   # still running after a failure
@@ -147,15 +154,16 @@ def _register_slabs(padded, reference, config) -> list[RegistrationResult]:
                 child.join()
                 child.close()
                 receive.close()
-    return results
+    return outcomes
 
 
 def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
                 reg_config: RegistrationConfig | None = None,
                 epsilon: float = DEFAULT_EPSILON) -> tuple[FusionOutput, list[RegistrationResult]]:
-    """Prepare the reference, pad, register (see ``_register_slabs``), reslice, fuse.
+    """Prepare the reference, pad, register and reslice (see ``_register_slabs``), fuse.
 
-    Linux only: the slabs register in forked workers, one per CPU that
+    Every slab is resliced onto slab 0's padded grid. Linux only: the slabs
+    register and reslice in forked workers, one per CPU that
     ``os.sched_getaffinity`` reports.
     """
     if len(slabs) != layout.num_slabs:
@@ -165,15 +173,13 @@ def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
     hr_inplane = (slabs[0].geometry.spacing[0], slabs[0].geometry.spacing[2])
     reference = prepare_reference(lr, hr_inplane)
     padded = [pad_slab(slab, layout, j) for j, slab in enumerate(slabs)]
-    results = _register_slabs(padded, reference, reg_config)
-
-    target = padded[0].signal.geometry
-    resliced = [apply_result(pad, res, target) for pad, res in zip(padded, results)]
-    fusion = fuse([sig for sig, _ in resliced], [msk for _, msk in resliced], epsilon)
+    results, signals, masks = zip(*_register_slabs(padded, reference, reg_config,
+                                                   padded[0].signal.geometry))
+    fusion = fuse(list(signals), list(masks), epsilon)
     if fusion.uncovered_fraction > UNCOVERED_WARN_FRACTION:
         warnings.warn(
             f"uncovered fraction {fusion.uncovered_fraction:.3f} exceeds "
             f"{UNCOVERED_WARN_FRACTION}: probable between-slab information loss",
             stacklevel=2,
         )
-    return fusion, results
+    return fusion, list(results)

@@ -140,24 +140,29 @@ def read_volume(path) -> Volume:
     return Volume(_geometry_from_header(hdr, dims), data)
 
 
+def _finite(values, field, name=None) -> np.ndarray:
+    """``values`` read from header ``field``; ParseError at its offset unless all finite."""
+    if not np.isfinite(values).all():
+        raise ParseError(f"{name or field} must be finite: {values.tolist()}", offset=_at(field))
+    return values
+
+
 def _geometry_from_header(hdr, dims) -> AffineGeometry:
-    pixdim = hdr["pixdim"].astype(float)
-    spac = np.abs(pixdim[1:4])
-    spac[spac == 0] = 1.0
     if hdr["sform_code"] > 0:
         srow = hdr["srow"].astype(float)
-        linear, origin = srow[:, :3], srow[:, 3]
-    elif hdr["qform_code"] > 0:
-        b, c, d = hdr["quatern"].tolist()
-        if not np.isfinite([b, c, d]).all():
-            raise ParseError(f"quatern {(b, c, d)} is not finite", offset=_at("quatern"))
-        origin = hdr["qoffset"].astype(float)
+        linear = _finite(srow[:, :3], "srow", "srow axes")
+        origin = _finite(srow[:, 3], "srow", "srow origin")
+    else:
+        spac = np.abs(_finite(hdr["pixdim"][1:4].astype(float), "pixdim", "pixdim spacings"))
+        spac[spac == 0] = 1.0
+        if hdr["qform_code"] <= 0:
+            return AffineGeometry(dims, tuple(spac))
+        b, c, d = _finite(hdr["quatern"].astype(float), "quatern")
+        origin = _finite(hdr["qoffset"].astype(float), "qoffset", "qoffset origin")
         a = float(np.sqrt(max(1.0 - (b * b + c * c + d * d), 0.0)))
         rot = Rotation.from_quat([b, c, d, a]).as_matrix()
-        qfac = -1.0 if pixdim[0] < 0 else 1.0
+        qfac = -1.0 if hdr["pixdim"][0] < 0 else 1.0
         linear = rot @ np.diag([spac[0], spac[1], spac[2] * qfac])
-    else:
-        return AffineGeometry(dims, tuple(spac))
 
     spacing = np.linalg.norm(linear, axis=0)
     if np.any(spacing <= 0):

@@ -6,12 +6,11 @@ intensity interpolated at the transformed voxel position; the null slices
 carry no anatomy and never enter the metric. NMI = (H(A) + H(B)) / H(A, B)
 with Shannon entropies in bits, so 2 means identical and 1 independent.
 
-The reference is read trilinearly from a flat copy of it padded with one
-edge-replicated voxel on every side: every in-field position has its 8
-corner voxels inside the copy, so the read needs no bounds check, and the
-padding gives the values of ``ndimage``'s "nearest" mode in the outer
-half-voxel band. The arithmetic follows ``ndimage.map_coordinates(order=1)``
-step by step, so the values, and the NMI, are the same to the bit.
+The reference is read by ``volume._trilinear``, the package's one trilinear
+read, from a flat copy padded with one edge-replicated voxel per side: the
+values of ``ndimage.map_coordinates(order=1, mode="nearest")``, to the bit.
+"Nearest" and "mirror" are two paddings of one read: reslicing
+(``apply_result``) reads a reflect-padded copy at folded indices, "mirror".
 Samples mapped out of the field are read at the nearest hull point and
 binned with zero weight, not removed: ``bincount`` sums in input order and
 ``x + 0.0 == x``, so the counts have the bits of the in-field samples alone.
@@ -36,10 +35,9 @@ import numpy as np
 from .errors import EmptyOverlap, InvalidInput, RegistrationFailed
 from .geometry import AffineGeometry, RigidTransform, index_map, invert
 from .layout import PaddedSlab
-from .volume import InterpolationMethod, Volume, in_field, resample
+from .volume import InterpolationMethod, Volume, _trilinear, in_field, padded_flat, resample
 
 _NMI_SLACK = 1e-9
-_READ_CHUNK = 16384     # samples per pass of the trilinear read: its buffers stay in cache
 # the most samples a pyramid level scores per joint-histogram bin (Mattes et al.,
 # IEEE TMI 22:120, 2003; Klein, Staring & Pluim, IEEE TIP 16:2879, 2007)
 _SAMPLES_PER_BIN = 16
@@ -107,41 +105,6 @@ def _accumulate(mov_base, fixed_values, fixed_lo, fixed_hi, bins, inside=None) -
     k += low < bins - 1   # the bin above, or the top bin itself
     counts += np.bincount(k, weights=f, minlength=bins * bins)
     return counts.reshape(bins, bins)
-
-
-def _trilinear(flat, corners, idx) -> np.ndarray:
-    """Trilinear read at in-field indices ``idx`` (3, N) of an image stored
-    edge-padded by one voxel and flattened, in cache-sized chunks.
-
-    ``corners`` are the 8 flat offsets of the corner voxels, x slowest and z
-    fastest, from the padded voxel of index ``floor(idx) + 1`` (the 1 is the
-    padding). Every in-field index has all 8 corners inside the padded
-    image, so there is no bounds check. The arithmetic is the one of
-    ``ndimage.map_coordinates(order=1, mode="nearest")``, in the same order,
-    so the values are the same to the bit: weights ``1 - frac`` and
-    ``1 - (1 - frac)``, each corner term ``((v * wx) * wy) * wz``, the terms
-    summed in corner order.
-    """
-    out = np.empty(idx.shape[1])
-    sx, sy = corners[4], corners[2]   # the padded strides of x and y; z's is 1
-    buffer = np.empty(min(_READ_CHUNK, idx.shape[1]))   # reused by every chunk
-    for start in range(0, idx.shape[1], _READ_CHUNK):
-        part = idx[:, start:start + _READ_CHUNK]
-        low = np.floor(part)
-        w0 = 1.0 - (part - low)
-        weights = (w0, 1.0 - w0)
-        # exact in floating point: small whole numbers; + 1 voxel of padding per axis
-        base = (low[0] * sx + low[1] * sy + low[2] + (sx + sy + 1)).astype(np.intp)
-        acc = out[start:start + _READ_CHUNK]
-        for k, offset in enumerate(corners):   # one view of the image per corner
-            target = buffer[:acc.size] if k else acc
-            flat[offset:].take(base, out=target, mode="clip")   # unbuffered; none is clipped
-            target *= weights[k >> 2][0]
-            target *= weights[(k >> 1) & 1][1]
-            target *= weights[k & 1][2]
-            if k:
-                acc += target
-    return out
 
 
 def nmi(h: JointHistogram) -> float:
@@ -222,10 +185,9 @@ class _MaskedNmiObjective:
     search: the mask selection, the moving range (over all masked voxels),
     the fixed range (over its full grid), the moving bin of each sample (as
     its row offset in the histogram) and the samples a pyramid level scores
-    (``at_stride``). The fixed image is kept flat and edge-padded by one
-    voxel, with the flat offsets of the 8 corners of a trilinear cell, for
-    ``_trilinear``; the stride subsets share them. Samples that land out of
-    the field are binned with zero weight, which keeps the counts' bits.
+    (``at_stride``). The fixed image is kept edge-padded for ``_trilinear``;
+    the stride subsets share it. Samples that land out of the field are
+    binned with zero weight, which keeps the counts' bits.
     """
 
     def __init__(self, moving: Volume, mask: Volume, fixed: Volume, bins: int):
@@ -244,11 +206,7 @@ class _MaskedNmiObjective:
         self.index = np.array(np.nonzero(sel), dtype=float)  # (3, N) moving voxel indices
         self.moving_geometry = moving.geometry
         self.fixed_geometry = fixed.geometry
-        padded = np.pad(fixed.data, 1, mode="edge")
-        self.fixed_flat = padded.ravel()
-        sx, sy = padded.shape[1] * padded.shape[2], padded.shape[2]
-        self.fixed_corners = tuple(cx * sx + cy * sy + cz
-                                   for cx in (0, 1) for cy in (0, 1) for cz in (0, 1))
+        self.fixed_flat, self.fixed_corners = padded_flat(fixed.data, "edge")
         self.bins = bins
 
     @property
@@ -283,9 +241,6 @@ class _MaskedNmiObjective:
             return None
         else:   # read out-of-field samples at the nearest hull point; they get zero weight
             np.clip(idx, -0.5, np.asarray(self.fixed_geometry.dims)[:, None] - 0.5, out=idx)
-        # the edge padding reproduces ndimage's "nearest" mode, unlike the
-        # mirror mode of resampling: the two differ in the outer half-voxel
-        # band, and the NMI values depend on it
         fixed_values = _trilinear(self.fixed_flat, self.fixed_corners, idx)
         counts = _accumulate(self.mov_base, fixed_values, *self.fixed_range, self.bins, inside)
         return JointHistogram(counts, float(counts.sum()))

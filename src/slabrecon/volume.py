@@ -14,8 +14,11 @@ translation, as in ``prepare_reference`` and the simulator's LR scan)
 ``resample`` runs one 1D prefilter and one 4-tap evaluation along each
 axis the map changes, and skips the others. That is the same function as
 the 3D spline, but rounded in another order: values agree to ~1e-13 of
-the data's range, not bit for bit. Rotations and trilinear reads take
-the 3D ``map_coordinates`` path.
+the data's range, not bit for bit. Cubic rotations take the 3D
+``map_coordinates`` path. Every trilinear read, here and in the
+registration objective, is ``_trilinear``, a NumPy gather from a flat copy
+padded by one voxel per side: edge padding gives ``ndimage``'s "nearest",
+reflect padding at folded indices its "mirror", both bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from scipy import ndimage
 
 from .errors import InvalidInput
 from .geometry import AffineGeometry, RigidTransform, index_map
+
+_READ_CHUNK = 16384     # samples per pass of the trilinear read: its buffers stay in cache
 
 
 class InterpolationMethod(enum.Enum):
@@ -52,6 +57,9 @@ class Volume:
         self.geometry = geometry
         self.data = arr
 
+    def __reduce__(self):   # unpickled through __init__: checked and read-only again
+        return Volume, (self.geometry, self.data)
+
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.geometry.dims
@@ -67,6 +75,62 @@ def in_field(idx: np.ndarray, dims) -> np.ndarray:
     """Which fractional voxel indices (3, N) lie in the hull ``[-0.5, n - 0.5]``."""
     hi = np.asarray(dims, dtype=float)[:, None] - 0.5
     return np.all((idx >= -0.5) & (idx <= hi), axis=0)
+
+
+def padded_flat(data, mode: str) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A volume or a stack (V, nx, ny, nz) padded by one voxel per side (``np.pad``
+    ``mode``), flattened per volume, and the flat offsets of a cell's 8 corners."""
+    padded = np.pad(data, [(0, 0)] * (data.ndim - 3) + [(1, 1)] * 3, mode=mode)
+    sx, sy = padded.shape[-2] * padded.shape[-1], padded.shape[-1]
+    corners = tuple(cx * sx + cy * sy + cz for cx in (0, 1) for cy in (0, 1) for cz in (0, 1))
+    return padded.reshape(*data.shape[:-3], -1), corners
+
+
+def _trilinear(flat, corners, idx) -> np.ndarray:
+    """Trilinear read at indices ``idx`` (3, N) of a ``padded_flat`` image, or of a
+    stack with one set of weights, in cache-sized chunks. With ``-1 <= floor(idx)
+    <= n - 1`` per axis the 8 corners lie inside the padded image: no bounds
+    check. The arithmetic is ``ndimage.map_coordinates(order=1)``'s, in its order:
+    weights ``1 - frac`` and ``1 - (1 - frac)``, corner terms ``((v * wx) * wy) *
+    wz`` summed in corner order. The bits are ndimage's but for a sum of -0.0s.
+    """
+    rows = flat.reshape(-1, flat.shape[-1])   # one contiguous row per image
+    out = np.empty((rows.shape[0], idx.shape[1]))
+    sx, sy = corners[4], corners[2]   # the padded strides of x and y; z's is 1
+    buffer = np.empty(min(_READ_CHUNK, idx.shape[1]))   # reused by every chunk
+    for start in range(0, idx.shape[1], _READ_CHUNK):
+        part = idx[:, start:start + _READ_CHUNK]
+        low = np.floor(part)
+        w0 = 1.0 - (part - low)
+        weights = (w0, 1.0 - w0)
+        # exact in floating point: small whole numbers; + 1 voxel of padding per axis
+        base = (low[0] * sx + low[1] * sy + low[2] + (sx + sy + 1)).astype(np.intp)
+        term = buffer[:base.size]
+        for row, acc in zip(rows, out[:, start:start + _READ_CHUNK]):
+            for k, offset in enumerate(corners):   # one view of the image per corner
+                target = term if k else acc
+                row[offset:].take(base, out=target, mode="clip")   # unbuffered; none is clipped
+                target *= weights[k >> 2][0]
+                target *= weights[(k >> 1) & 1][1]
+                target *= weights[k & 1][2]
+                if k:
+                    acc += target
+    return out.reshape(flat.shape[:-1] + idx.shape[1:])
+
+
+def _mirror_fold(idx: np.ndarray, dims) -> np.ndarray:
+    """Fold indices (3, N), in place, into ``[0, n)`` as ``ndimage``'s "mirror" mode
+    does before it interpolates: reflect about the first and last voxel centres
+    (period ``2n - 2``); a one-voxel axis reads 0. Within [1 - n, n - 1] that is |x|."""
+    idx[np.asarray(dims) == 1] = 0.0
+    for a, n in enumerate(dims):
+        far = np.flatnonzero(np.abs(idx[a]) > n - 1)   # in the hull, only its upper band
+        x, period = idx[a, far], max(2 * n - 2, 1)
+        r = x - period * np.trunc(x / period)
+        np.abs(idx[a], out=idx[a])
+        idx[a, far] = np.where(x < 0, np.where(r <= 1 - n, r + period, -r),
+                               np.where(r >= n, period - r, r))
+    return idx
 
 
 def _resample_axes(data, m, dims, extend):
@@ -119,17 +183,17 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     if cubic and not m[:, :3][~np.eye(3, dtype=bool)].any():
         return [Volume(target, _resample_axes(v.data, m, target.dims, extend)) for v in volumes]
     idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
-    keep = slice(None) if extend else in_field(idx, source.dims)
-    idx = idx[:, keep]
-    results = []
-    for volume in volumes:
-        # mirror boundary: reflect about the first and last voxel centres
-        # (d[-1] = d[1]), the boundary of the cubic prefilter map_coordinates
-        # runs. The outer half-voxel band of the hull reads the reflection:
-        # at index -0.5 a linear read gives (d[0] + d[1]) / 2, where the
-        # registration objective reads "nearest", which gives d[0]
-        values = np.zeros(target.n_voxels)
-        values[keep] = ndimage.map_coordinates(volume.data, idx, order=method.value,
-                                               mode="mirror")
-        results.append(Volume(target, values.reshape(target.dims)))
-    return results
+    keep = slice(None)
+    if not extend:   # by index: a boolean mask over (3, N) takes 5x longer
+        keep = np.flatnonzero(in_field(idx, source.dims))
+        idx = idx.take(keep, axis=1)
+    if cubic:
+        reads = [ndimage.map_coordinates(v.data, idx, order=3, mode="mirror") for v in volumes]
+    else:   # mirror: at index -0.5 a read gives (d[0] + d[1]) / 2 ("nearest" gives d[0]);
+        # one read of the stack: the volumes share its weights
+        reads = _trilinear(*padded_flat(np.stack([v.data for v in volumes]), "reflect"),
+                           _mirror_fold(idx, source.dims))
+    values = np.zeros((len(volumes), target.n_voxels))
+    for row, read in zip(values, reads):
+        row[keep] = read + 0.0   # a sum of -0.0 terms is +0.0 in ndimage
+    return [Volume(target, row.reshape(target.dims)) for row in values]

@@ -559,3 +559,35 @@ def test_qc_with_a_malformed_nifti_header_is_data_error(pipeline_dirs, tmp_path,
     assert code == 4
     assert field in err and f"(byte offset {offset})" in err
     assert not (tmp_path / "qc").exists()
+
+
+_NAN, _INF = float("nan"), float("inf")
+_QFORM_ONLY = ("<h", 254, (0,))     # sform_code 0
+_NO_FORM = ("<h", 252, (0,))        # and qform_code 0
+
+
+@pytest.mark.parametrize("field, offset, patch", [
+    ("srow", 280, [("<f", 280, (_NAN,))]),
+    ("srow", 280, [("<f", 292, (_INF,))]),
+    ("qoffset", 268, [_QFORM_ONLY, ("<f", 268, (_NAN,))]),
+    ("pixdim", 76, [_QFORM_ONLY, ("<f", 80, (_NAN,))]),
+    ("pixdim", 76, [_QFORM_ONLY, _NO_FORM, ("<f", 80, (_NAN,))]),
+    ("pixdim", 76, [_QFORM_ONLY, _NO_FORM, ("<f", 84, (_INF,))]),
+], ids=["nan_srow", "inf_srow_origin", "qform_only_nan_qoffset", "qform_only_nan_pixdim",
+        "no_form_nan_pixdim", "no_form_inf_pixdim"])
+def test_qc_with_a_non_finite_geometry_field_names_the_field(pipeline_dirs, tmp_path, capsys,
+                                                            field, offset, patch):
+    # a non-finite value is a malformed field, not a shear, an origin or a spacing
+    sim, rec, _ = pipeline_dirs
+    raw = bytearray(gzip.decompress((rec / "fused.nii.gz").read_bytes()))
+    for fmt, at, values in patch:
+        struct.pack_into(fmt, raw, at, *values)
+    bad = tmp_path / "bad.nii"
+    bad.write_bytes(bytes(raw))
+    code = main(["qc", "--volume", str(bad), "--rois", str(sim / "rois.json"),
+                 "--out", str(tmp_path / "qc")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert f"error: {field} " in err and "must be finite" in err
+    assert f"(byte offset {offset})" in err
+    assert not (tmp_path / "qc").exists()

@@ -12,6 +12,7 @@ from slabrecon import (
     apply_result,
     fuse,
 )
+from slabrecon.fusion import DEFAULT_EPSILON
 from slabrecon.registration import RegistrationResult
 
 
@@ -142,3 +143,28 @@ def test_fused_is_finite_and_zero_outside_coverage():
     out = fuse([Volume(g, rng.uniform(0, 9, g.dims) * m)], [Volume(g, m)])
     assert np.all(np.isfinite(out.fused.data))
     assert np.all(out.fused.data[out.coverage_map.data == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_fused_sums_are_the_sorted_sums_bit_for_bit(k):
+    # ties, +0.0 against -0.0, and values whose float sum depends on the order
+    g = grid()
+    rng = np.random.default_rng(k)
+    ties = np.array([0.0, -0.0, 0.1, 0.2, 0.3, 0.7, 1.0])
+
+    def draw():
+        return np.where(rng.random(g.dims) < 0.5, rng.choice(ties, g.dims), rng.random(g.dims))
+
+    signals = [draw() * 90.0 - 10.0 for _ in range(k)]
+    masks = [draw() for _ in range(k)]
+    signal_sum = np.sort(np.stack(signals), axis=0).sum(axis=0)
+    mask_sum = np.sort(np.stack(masks), axis=0).sum(axis=0)
+    covered = mask_sum >= DEFAULT_EPSILON
+    fused = np.zeros(g.dims)
+    np.divide(signal_sum, mask_sum, out=fused, where=covered)
+    for r in range(k):   # every cyclic rotation of the input order
+        out = fuse([Volume(g, s) for s in signals[r:] + signals[:r]],
+                   [Volume(g, m) for m in masks[r:] + masks[:r]])
+        assert np.array_equal(out.mask_sum.data.view(np.int64), mask_sum.view(np.int64))
+        assert np.array_equal(out.fused.data.view(np.int64), fused.view(np.int64))
+        assert np.array_equal(out.coverage_map.data, covered.astype(float))

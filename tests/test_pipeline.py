@@ -269,3 +269,19 @@ def test_one_cpu_stops_at_the_first_failing_slab(monkeypatch, tmp_path):
         reconstruct(list(ds.slabs), layout, ds.lr)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["slab_0"]
     assert multiprocessing.active_children() == []
+
+
+def test_worker_path_writes_what_the_serial_path_writes(monkeypatch):
+    # 1 CPU registers and reslices every slab in the caller; 2 and 3 fork workers
+    layout, ds, _ = _small_three_slab_dataset()
+    cfg = RegistrationConfig(pyramid=(2,), max_iterations=3, step_halvings=1)
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        fusion, results = reconstruct(list(ds.slabs), layout, ds.lr, cfg)
+        outputs.append(([v.data.tobytes() for v in
+                         (fusion.fused, fusion.mask_sum, fusion.coverage_map)],
+                        [r.transform.parameters().tobytes() for r in results],
+                        [r.to_dict() for r in results]))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert multiprocessing.active_children() == []

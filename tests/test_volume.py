@@ -15,7 +15,7 @@ from slabrecon import (
     resample,
 )
 from slabrecon.geometry import index_map
-from slabrecon.volume import in_field
+from slabrecon.volume import _mirror_fold, _trilinear, in_field, padded_flat
 
 METHODS = list(InterpolationMethod)
 
@@ -234,3 +234,58 @@ def test_cubic_resample_without_rotation_skips_the_3d_spline(monkeypatch):
     turn = RigidTransform(rotation=(0.02, 0.0, 0.0), center=tuple(vol.geometry.world_center()))
     with pytest.raises(AssertionError, match="3D map_coordinates"):
         resample([vol], vol.geometry, turn, InterpolationMethod.CubicBSpline)
+
+
+def _mirror_points(dims, rng):
+    """Random in-field points, both outer half-voxel bands of every axis, the
+    two hull corners, and points from -3n to 4n per axis."""
+    d = np.array(dims, dtype=float)[:, None]
+    points = [rng.uniform(-0.5, d - 0.5, (3, 5000))]
+    for axis in range(3):
+        for band in ((-0.5, 0.0), (dims[axis] - 1.0, dims[axis] - 0.5)):
+            edge = rng.uniform(-0.5, d - 0.5, (3, 500))
+            edge[axis] = rng.uniform(*band, 500)
+            edge[axis, :2] = band   # both ends of the band itself
+            points.append(edge)
+    points.append(np.hstack([-0.5 + 0 * d, d - 0.5]))   # the two hull corners
+    far = rng.uniform(-3 * d, 4 * d, (3, 20000))
+    return np.concatenate(points, axis=1), far
+
+
+@pytest.mark.parametrize("dims", [(9, 5, 7), (6, 1, 4), (2, 3, 1)])
+def test_trilinear_read_is_map_coordinates_mirror_bit_for_bit(dims):
+    # the mirror twin of the objective's "nearest" read, one-voxel axes included
+    rng = np.random.default_rng(sum(dims))
+    data = rng.normal(size=dims)
+    inside, far = _mirror_points(dims, rng)
+    assert in_field(inside, dims).all() and not in_field(far, dims).all()
+    for idx in (inside, far):
+        got = _trilinear(*padded_flat(data, "reflect"), _mirror_fold(idx.copy(), dims))
+        want = ndimage.map_coordinates(data, idx, order=1, mode="mirror")
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("extend", [False, True])
+@pytest.mark.parametrize("dims", [(9, 5, 7), (6, 1, 4)])
+def test_trilinear_resample_is_map_coordinates_mirror_bit_for_bit(dims, extend):
+    # a rotated target reaching several grid lengths past the hull, and
+    # half-voxel shifts that land on the hull corners exactly
+    rng = np.random.default_rng(7)
+    source = AffineGeometry(dims, (1.0, 1.0, 1.0))
+    data = rng.normal(size=dims)
+    data[:2] = -0.0   # reads there sum -0.0 terms, which ndimage adds to +0.0
+    vols = [Volume(source, data), Volume(source, rng.uniform(0, 1, dims))]   # one stacked read
+    wide = AffineGeometry((40, 30, 36), (1.6, 1.3, 1.7), origin=(-30.0, -18.0, -28.0))
+    turn = RigidTransform(rotation=(0.3, -0.2, 0.25), center=tuple(source.world_center()))
+    cases = [(wide, turn)] + [(source, RigidTransform(translation=(h, h, h))) for h in (-0.5, 0.5)]
+    for target, transform in cases:
+        m = index_map(target, transform, source)
+        idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
+        inside = in_field(idx, dims)
+        assert inside.any() and inside.all() == (target is source)
+        outs = resample(vols, target, transform, InterpolationMethod.Trilinear, extend)
+        for vol, out in zip(vols, outs, strict=True):
+            want = ndimage.map_coordinates(vol.data, idx, order=1, mode="mirror")
+            if not extend:
+                want[~inside] = 0.0
+            assert np.array_equal(out.data.ravel().view(np.int64), want.view(np.int64))
