@@ -12,8 +12,10 @@ coordinates: two calls produce bit-identical volumes.
 
 The phantom is the ground truth, so it is piecewise constant: tissue
 boundaries are hard, and every voxel holds exactly one of the spec
-intensities, except on the bright lamina, which carries the texture. The
-texture is evaluated only on the lamina voxels, not on the whole grid. Any
+intensities, except on the bright lamina, which carries the texture. Each
+expression is evaluated only where its answer can show: the envelope on the
+bounding box of the structure and its matrix, the tissues on the structure's
+voxels, and the texture on the lamina voxels, not on the whole grid. Any
 band-limiting of a real acquisition belongs to the acquisition model in
 ``simulate.py``, not here.
 """
@@ -70,6 +72,8 @@ class PhantomSpec:
     texture_amplitude: float = 0.25
 
     def __post_init__(self):
+        if not (self.length_mm > 0 and self.body_width_mm > 0):
+            raise InvalidInput("length and body width must be > 0")
         if self.head_width_mm <= self.body_width_mm:
             raise InvalidInput("head width must exceed body width")
         for th in (self.srlm_thickness_mm, self.sp_thickness_mm, self.alveus_thickness_mm):
@@ -79,6 +83,12 @@ class PhantomSpec:
                   self.intensity_matrix, self.intensity_background):
             if i < 0:
                 raise InvalidInput("intensities must be >= 0")
+        if min(self.matrix_margin_mm) < 0:
+            raise InvalidInput("matrix margins must be >= 0")
+        if not (self.head_falloff > 0 and self.roll_period_mm > 0):
+            raise InvalidInput("head falloff and roll period must be > 0")
+        if not 0 < self.core_fraction < 1:
+            raise InvalidInput("core fraction must be in (0, 1)")
         if not 0 <= self.texture_amplitude < 0.34:
             # bright lamina must stay brighter than the matrix
             raise InvalidInput("texture amplitude must be in [0, 0.34)")
@@ -144,7 +154,15 @@ def canonical_rois(spec: PhantomSpec, geometry: AffineGeometry) -> dict:
 
 
 def generate_phantom(spec: PhantomSpec, geometry: AffineGeometry) -> GeneratedPhantom:
-    """Evaluate the analytic phantom at every voxel centre of ``geometry``."""
+    """Evaluate the analytic phantom at the voxel centres of ``geometry``.
+
+    The grid is ``intensity_background`` outside the index box that can hold
+    structure or matrix voxels (its bounds come from the spec, padded by one
+    voxel). The box is evaluated for the structure and its matrix envelope;
+    the tissue expressions (rim, core, laminae) run on the structure's voxels
+    only, and the texture on the bright-lamina voxels only. Every voxel gets
+    the arithmetic of a full-grid evaluation, so the same bits.
+    """
     min_lamina = min(spec.srlm_thickness_mm, spec.sp_thickness_mm)
     if max(geometry.spacing[0], geometry.spacing[2]) > min_lamina / 1.5 + 1e-12:
         raise InvalidInput(
@@ -154,15 +172,27 @@ def generate_phantom(spec: PhantomSpec, geometry: AffineGeometry) -> GeneratedPh
 
     nx, ny, nz = geometry.dims
     sx, sy, sz = geometry.spacing
-    # voxel-centre world coordinates on the grid's own axes
-    x = (np.arange(nx) * sx)[:, None, None]
-    y = (np.arange(ny) * sy)[None, :, None]
-    z = (np.arange(nz) * sz)[None, None, :]
     cx = (nx - 1) * sx / 2.0
     cy = (ny - 1) * sy / 2.0
     cz = (nz - 1) * sz / 2.0
-
     y0 = cy - spec.length_mm / 2.0
+    mx, my, mz = spec.matrix_margin_mm
+
+    # the index box that holds every structure and matrix voxel; the head is
+    # wider than the body, and the axis bows by at most |axis_bow_mm| in z
+    half_x = spec.head_width_mm / 2.0 + mx
+    half_z = abs(spec.axis_bow_mm) + spec.height_mm / 2.0 + mz
+    box = tuple(
+        slice(max(0, int(np.floor(lo / s)) - 1), min(n, int(np.ceil(hi / s)) + 2))
+        for lo, hi, s, n in ((cx - half_x, cx + half_x, sx, nx),
+                             (y0 - my, y0 + spec.length_mm + my, sy, ny),
+                             (cz - half_z, cz + half_z, sz, nz))
+    )
+    # voxel-centre world coordinates on the grid's own axes, cut to the box
+    x = (np.arange(nx) * sx)[box[0], None, None]
+    y = (np.arange(ny) * sy)[None, box[1], None]
+    z = (np.arange(nz) * sz)[None, None, box[2]]
+
     t = (y - y0) / spec.length_mm
     t_c = np.clip(t, 0.0, 1.0)
 
@@ -184,12 +214,23 @@ def generate_phantom(spec: PhantomSpec, geometry: AffineGeometry) -> GeneratedPh
     rho2 = u * u + v * v
     inside = (rho2 <= 1.0) & (t >= 0.0) & (t <= 1.0)
 
+    # homogeneous matrix envelope around the structure (no end-cap pinching)
+    rho_env = np.hypot(dx / (width_env / 2.0 + mx), dz / (spec.height_mm / 2.0 + mz))
+    envelope = (rho_env <= 1.0) & (y >= y0 - my) & (y <= y0 + spec.length_mm + my)
+    inner = np.where(envelope, spec.intensity_matrix, spec.intensity_background)
+
+    # the structure's tissues are worked out on its own voxels only
+    i, j, k = np.nonzero(inside)
+    x, y, z, dx, dz, u, v, rho2, width = (
+        np.broadcast_to(a, inside.shape)[i, j, k]
+        for a in (x, y, z, dx, dz, u, v, rho2, width))
+
     m = np.hypot(dx, dz)                       # radial mm distance from the axis
     rho = np.sqrt(rho2)
     with np.errstate(divide="ignore", invalid="ignore"):
         m_bound = np.where(rho > 1e-9, m / np.where(rho > 1e-9, rho, 1.0), np.inf)
 
-    phi = np.arctan2(v, np.where(np.isfinite(u), u, 1.0))
+    phi = np.arctan2(v, u)                     # u and v are finite inside
     phi_eff = phi - spec.swirl_rad_per_mm * (y - cy)
     cycle = spec.sp_thickness_mm + spec.srlm_thickness_mm
     q = (
@@ -199,32 +240,22 @@ def generate_phantom(spec: PhantomSpec, geometry: AffineGeometry) -> GeneratedPh
         * np.cos(2.0 * np.pi * (y - cy) / spec.roll_period_mm + 0.7)
     )
 
-    # homogeneous matrix envelope around the structure (no end-cap pinching)
-    mx, my, mz = spec.matrix_margin_mm
-    rho_env = np.hypot(dx / (width_env / 2.0 + mx), dz / (spec.height_mm / 2.0 + mz))
-    envelope = (rho_env <= 1.0) & (y >= y0 - my) & (y <= y0 + spec.length_mm + my)
-
     # Hard tissue masks. Each mask is closed, so a voxel exactly on a
-    # boundary belongs to the tissue that mask selects. np.select takes the
-    # first mask that holds, so the rim wins over the core, the core over the
-    # laminae, and the structure over the matrix.
+    # boundary belongs to the tissue that mask selects. The rim wins over
+    # the core, the core over the laminae, and the structure over the matrix.
     rim = m >= m_bound - spec.alveus_thickness_mm
     # the core is homogeneous: canonical GM measurements need pure tissue
     core = m <= spec.core_fraction * width / 2.0
     bright_lamina = np.mod(q, cycle) <= spec.sp_thickness_mm
 
-    data = np.select(
-        [inside & rim, inside & core, inside, envelope],
-        [spec.intensity_dark, spec.intensity_bright, spec.intensity_dark,
-         spec.intensity_matrix],
-        default=spec.intensity_background,
+    tissue = np.where(core & ~rim, spec.intensity_bright, spec.intensity_dark)
+    # the textured bright lamina is what is left once rim and core are taken
+    lamina = ~rim & ~core & bright_lamina
+    tissue[lamina] = spec.intensity_bright * (
+        1.0 + spec.texture_amplitude * _texture(x[lamina], y[lamina], z[lamina])
     )
-    # the textured bright lamina is what is left inside once rim and core are
-    # taken; its texture is evaluated on those voxels only (a few % of the
-    # grid), with the same per-voxel arithmetic as on the full grid
-    i, j, k = np.nonzero(inside & ~rim & ~core & bright_lamina)
-    data[i, j, k] = spec.intensity_bright * (
-        1.0 + spec.texture_amplitude * _texture(x.ravel()[i], y.ravel()[j], z.ravel()[k])
-    )
+    inner[i, j, k] = tissue
+    data = np.full(geometry.dims, spec.intensity_background, dtype=float)
+    data[box] = inner
 
     return GeneratedPhantom(Volume(geometry, data), canonical_rois(spec, geometry))

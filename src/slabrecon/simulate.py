@@ -96,10 +96,17 @@ def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
         raise InvalidInput("sigma must be >= 0")
     if sigma == 0:
         return volume
+    # in place, in the formula's order of operations: the same bits
     rng = np.random.default_rng(seed)
-    n1 = rng.standard_normal(volume.dims) * sigma
-    n2 = rng.standard_normal(volume.dims) * sigma
-    return volume.with_data(np.sqrt((volume.data + n1) ** 2 + n2 ** 2))
+    n1 = rng.standard_normal(volume.dims)
+    n1 *= sigma
+    n1 += volume.data
+    np.square(n1, out=n1)
+    n2 = rng.standard_normal(volume.dims)
+    n2 *= sigma
+    np.square(n2, out=n2)
+    n1 += n2
+    return volume.with_data(np.sqrt(n1, out=n1))
 
 
 def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScenario,

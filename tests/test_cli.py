@@ -314,6 +314,27 @@ def test_phantom_fov_under_one_voxel_is_usage_error(tmp_path, capsys):
     assert "phantom_fov_mm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["phantom_length_mm = 0", "phantom_length_mm = -5"])
+def test_simulate_with_a_phantom_length_not_positive_is_usage_error(tmp_path, capsys, line):
+    # a zero length once simulated a flat slab of matrix, a negative one a sliver
+    cfg = tmp_path / "length.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert "phantom_length_mm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["phantom_body_width_mm = 0", "phantom_body_width_mm = -1"])
+def test_simulate_with_a_phantom_body_width_not_positive_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "width.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert "phantom_body_width_mm" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("voxel", [[0, 1.2, 0.3], [0.3, -1.2, 0.3]])
 def test_layout_file_voxel_not_positive_is_usage_error(tmp_path, capsys, voxel):
     layout_file = tmp_path / "layout.json"

@@ -92,6 +92,20 @@ def test_rician_background_mean_matches_rayleigh_oracle():
     assert abs(out.data.mean() - expected) / expected <= 0.02
 
 
+@pytest.mark.parametrize("sigma", [0.37, 2.5, 15.0])
+def test_rician_is_the_written_out_formula_bit_for_bit(sigma):
+    # the noise is computed in place; it must keep the bits of the formula
+    # sqrt((x + n1)^2 + n2^2) with the same draws, not those of np.hypot
+    g = AffineGeometry((11, 7, 9), (1, 1, 1))
+    vol = Volume(g, np.random.default_rng(4).uniform(-3.0, 120.0, g.dims))
+    rng = np.random.default_rng(6)
+    n1 = rng.standard_normal(g.dims) * sigma
+    n2 = rng.standard_normal(g.dims) * sigma
+    expected = np.sqrt((vol.data + n1) ** 2 + n2 ** 2)
+    out = rician_noise(vol, sigma, seed=6)
+    assert np.array_equal(out.data.view(np.int64), expected.view(np.int64))
+
+
 # --- motion taxonomy ---------------------------------------------------------
 
 def test_classification_labels():
