@@ -9,14 +9,20 @@ directions of the voxel axes. The slab-normal (slice) axis is axis 1 (y).
 grid's index-to-world map, a rigid transform and the other grid's
 world-to-index map into a single 3x4 index-to-index matrix, which
 registration, reslicing and resampling all apply to voxel indices.
+
+Rotations are unit quaternions (x, y, z, w), converted by NumPy ports of
+scipy 1.17.1's Cython ``Rotation`` with its bits (``math`` for the C
+library's scalar functions, but NumPy's ``hypot``); xyz angles follow
+Bernardes & Viollet (PLoS ONE 17:e0276302, 2022). No scipy is imported.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import InvalidInput
 
@@ -90,9 +96,73 @@ class AffineGeometry:
         return AffineGeometry(dims, spacing, self.origin, self.axes)
 
 
+def _quat_product(p, q) -> tuple:
+    """The rotation ``q`` then ``p``."""
+    x, y, z = p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
+    return (p[3] * q[0] + q[3] * p[0] + x, p[3] * q[1] + q[3] * p[1] + y,
+            p[3] * q[2] + q[3] * p[2] + z, p[3] * q[3] - p[0] * q[0] - p[1] * q[1] - p[2] * q[2])
+
+
+def normalized_quat(q) -> tuple:
+    """``q`` divided by its norm, rounded as scipy's ``Rotation.from_quat`` does."""
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    return tuple(v / norm for v in q)
+
+
+def quat_matrix(q) -> np.ndarray:
+    """The rotation matrix of a unit quaternion (x, y, z, w)."""
+    x, y, z, w = q
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
+
+
+def matrix_quat(matrix) -> tuple:
+    """The unit quaternion (x, y, z, w) of a rotation matrix, or of its SVD
+    projection if it is not orthogonal to 1e-12."""
+    m = np.asarray(matrix, dtype=float)
+    if not np.all(np.isclose(m @ m.T, np.eye(3), atol=1e-12)):
+        u, _, vt = np.linalg.svd(m)
+        m = u @ vt
+    m = m.tolist()
+    trace = m[0][0] + m[1][1] + m[2][2]
+    pivots = [m[0][0], m[1][1], m[2][2], trace]
+    i = pivots.index(max(pivots))
+    if i == 3:
+        return normalized_quat((m[2][1] - m[1][2], m[0][2] - m[2][0], m[1][0] - m[0][1], 1 + trace))
+    j, k = (i + 1) % 3, (i + 2) % 3
+    q = [0.0, 0.0, 0.0, m[k][j] - m[j][k]]
+    q[i], q[j], q[k] = 1 - trace + 2 * m[i][i], m[j][i] + m[i][j], m[k][i] + m[i][k]
+    return normalized_quat(q)
+
+
+def _quat_euler(q) -> tuple:
+    """xyz Euler angles in [-pi, pi]; at ry = +-pi/2, rz = 0 and a warning, as in scipy."""
+    x, y, z, w = q
+    a, b, c, d = w - y, x + z, y + w, z - x
+    middle = 2 * math.atan2(np.hypot(c, d), np.hypot(a, b))
+    half_sum, half_diff = math.atan2(b, a), math.atan2(d, c)
+    if abs(middle) <= 1e-7 or abs(middle - math.pi) <= 1e-7:
+        warnings.warn("Gimbal lock detected. Setting third angle to zero since it is "
+                      "not possible to uniquely determine all angles.", stacklevel=3)
+        angles = [2 * half_sum if abs(middle) <= 1e-7 else -2 * half_diff, middle, 0.0]
+    else:
+        angles = [half_sum - half_diff, middle, half_sum + half_diff]
+    angles[1] -= math.pi / 2
+    return tuple(v + 2 * math.pi if v < -math.pi else v - 2 * math.pi if v > math.pi else v
+                 for v in angles)
+
+
 def _euler_matrix(rotation) -> np.ndarray:
     # Rz @ Ry @ Rx, i.e. rotations applied about the fixed x, then y, then z axes.
-    return Rotation.from_euler("xyz", rotation).as_matrix()
+    q = (0.0, 0.0, 0.0, 1.0)
+    for axis, angle in enumerate(rotation):
+        e = [0.0, 0.0, 0.0, math.cos(angle / 2.0)]
+        e[axis] = math.sin(angle / 2.0)
+        q = _quat_product(e, q) if axis else tuple(e)
+    return quat_matrix(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +196,7 @@ class RigidTransform:
             raise InvalidInput("matrix block is not orthonormal")
         if np.linalg.det(rot) < 0:
             raise InvalidInput("matrix block is a reflection, not a rotation")
-        angles = Rotation.from_matrix(rot).as_euler("xyz")
+        angles = _quat_euler(matrix_quat(rot))
         c = np.asarray(center, dtype=float)
         translation = mat[:3, 3] + rot @ c - c
         return RigidTransform(tuple(angles), tuple(translation), tuple(c))
@@ -169,10 +239,11 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
 
 
 def invert(t: RigidTransform) -> RigidTransform:
-    rot = _euler_matrix(t.rotation)
+    fwd = t.matrix
+    rot = fwd[:3, :3]
     mat = np.eye(4)
     mat[:3, :3] = rot.T
-    mat[:3, 3] = -rot.T @ t.matrix[:3, 3]
+    mat[:3, 3] = -rot.T @ fwd[:3, 3]
     return RigidTransform.from_matrix(mat, center=t.center)
 
 
@@ -200,7 +271,15 @@ def transform_deviation(a: RigidTransform, b: RigidTransform, point) -> tuple[fl
     """
     ra = a.matrix[:3, :3]
     rb = b.matrix[:3, :3]
-    rel = ra @ rb.T
-    angle = float(np.degrees(np.linalg.norm(Rotation.from_matrix(rel).as_rotvec())))
+    q = matrix_quat(ra @ rb.T)
+    if q[3] < 0:
+        q = tuple(-v for v in q)
+    # the rotation vector: angle * axis, by a series at small angles
+    angle = 2 * math.atan2(math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2]), q[3])
+    if angle <= 1e-3:
+        scale = 2 + angle * angle / 12 + 7 * (angle * angle) * (angle * angle) / 2880
+    else:
+        scale = angle / math.sin(angle / 2)
+    angle = float(np.degrees(np.linalg.norm([scale * q[0], scale * q[1], scale * q[2]])))
     gap = float(np.linalg.norm(a.apply(point)[0] - b.apply(point)[0]))
     return angle, gap

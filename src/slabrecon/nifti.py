@@ -11,6 +11,9 @@ which the fast setting does just as well at a fraction of the time.
 Piecewise-constant volumes (truth, coverage, mask sums) come out larger than
 at level 9, since run-length matching sees repeats of the previous byte, not
 of a whole float: a coverage map takes ~0.2 of its raw size, not ~0.001.
+
+The qform quaternion goes through ``geometry``'s ports of scipy 1.17.1's
+``Rotation`` conversions, with scipy's bits and no scipy import.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ import os
 import zlib
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import ParseError, UnsupportedFormat
-from .geometry import AffineGeometry
+from .geometry import AffineGeometry, matrix_quat, normalized_quat, quat_matrix
 from .volume import Volume
 
 HEADER_SIZE = 348
@@ -160,7 +162,7 @@ def _geometry_from_header(hdr, dims) -> AffineGeometry:
         b, c, d = _finite(hdr["quatern"].astype(float), "quatern")
         origin = _finite(hdr["qoffset"].astype(float), "qoffset", "qoffset origin")
         a = float(np.sqrt(max(1.0 - (b * b + c * c + d * d), 0.0)))
-        rot = Rotation.from_quat([b, c, d, a]).as_matrix()
+        rot = quat_matrix(normalized_quat((b, c, d, a)))
         qfac = -1.0 if hdr["pixdim"][0] < 0 else 1.0
         linear = rot @ np.diag([spac[0], spac[1], spac[2] * qfac])
 
@@ -183,7 +185,7 @@ def _quaternion_fields(geometry: AffineGeometry):
         qfac = -1.0
         axes = axes.copy()
         axes[:, 2] *= -1.0
-    quat = Rotation.from_matrix(axes).as_quat()  # x, y, z, w
+    quat = np.array(matrix_quat(axes))  # x, y, z, w
     if quat[3] < 0:
         quat = -quat
     return qfac, quat[:3]

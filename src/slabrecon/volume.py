@@ -14,24 +14,30 @@ translation, as in ``prepare_reference`` and the simulator's LR scan)
 ``resample`` runs one 1D prefilter and one 4-tap evaluation along each
 axis the map changes, and skips the others. That is the same function as
 the 3D spline, but rounded in another order: values agree to ~1e-13 of
-the data's range, not bit for bit. Cubic rotations take the 3D
-``map_coordinates`` path. Every trilinear read, here and in the
-registration objective, is ``_trilinear``, a NumPy gather from a flat copy
-padded by one voxel per side: edge padding gives ``ndimage``'s "nearest",
-reflect padding at folded indices its "mirror", both bit for bit.
+the data's range, not bit for bit. The 1D prefilter is a NumPy port of
+``ndimage.spline_filter1d(order=3, mode="mirror")`` with its bits: scipy
+1.17.1's ``ni_splines.c``, Unser's recursive filter (IEEE Signal Proc. Mag.
+16:22, 1999). Cubic rotations, only the simulator's rotated slab, take
+``ndimage.map_coordinates``: the one scipy import, inside that branch.
+Every trilinear read, here and in the registration objective, is
+``_trilinear``, a NumPy gather from a flat copy padded by one voxel per
+side: edge padding gives ``ndimage``'s "nearest", reflect padding at
+folded indices its "mirror", both bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InvalidInput
 from .geometry import AffineGeometry, RigidTransform, index_map
 
 _READ_CHUNK = 16384     # samples per pass of the trilinear read: its buffers stay in cache
+_POLE = -0.267949192431122706472553658494127633   # sqrt(3) - 2 as ni_splines.c has it;
+# np.sqrt(3.0) - 2.0 is two ulps off
 
 
 class InterpolationMethod(enum.Enum):
@@ -133,6 +139,30 @@ def _mirror_fold(idx: np.ndarray, dims) -> np.ndarray:
     return idx
 
 
+def _prefilter(data, axis) -> np.ndarray:
+    """``ndimage.spline_filter1d(data, 3, axis, mode="mirror")`` with ``axis`` moved
+    first, in a new array: ``ni_splines.c``'s arithmetic in its order, on all lines."""
+    z, c = _POLE, np.moveaxis(data, axis, 0)
+    n = c.shape[0]
+    if n == 1:
+        return c.copy()
+    c = np.multiply(c, (1 - z) * (1 - 1 / z), out=np.empty(c.shape))   # the gain
+    z_n1, z_i = math.pow(z, n - 1), z
+    head = c[0] + z_n1 * c[n - 1]   # causal init, mirror ends
+    for i in range(1, n - 1):
+        head += z_i * (c[i] + z_n1 * c[n - 1 - i])
+        z_i *= z
+    c[0] = head / (1 - z_n1 * z_n1)
+    tmp = np.empty(c.shape[1:])
+    for i in range(1, n):   # causal pass, through one buffer
+        c[i] += np.multiply(c[i - 1], z, out=tmp)
+    c[n - 1] = (z * c[n - 2] + c[n - 1]) * z / (z * z - 1)   # anticausal init and pass
+    for i in range(n - 2, -1, -1):
+        np.subtract(c[i + 1], c[i], out=c[i])
+        c[i] *= z
+    return c
+
+
 def _resample_axes(data, m, dims, extend):
     """Cubic B-spline resampling onto ``dims`` by a diagonal index map ``m``:
     per axis, a 1D mirror prefilter, then four taps at ``p = m[a, a] * k + m[a, 3]``."""
@@ -150,7 +180,7 @@ def _resample_axes(data, m, dims, extend):
         period = max(2 * n - 2, 1)
         taps = np.abs(base.astype(np.int64)[:, None] + np.arange(-1, 3)) % period
         taps = np.where(taps >= n, period - taps, taps)
-        coeffs = np.moveaxis(ndimage.spline_filter1d(data, order=3, axis=a, mode="mirror"), a, 0)
+        coeffs = _prefilter(data, a)
         out = coeffs[taps[:, 0]] * weights[0]
         for k in range(1, 4):
             out += coeffs[taps[:, k]] * weights[k]
@@ -187,7 +217,8 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     if not extend:   # by index: a boolean mask over (3, N) takes 5x longer
         keep = np.flatnonzero(in_field(idx, source.dims))
         idx = idx.take(keep, axis=1)
-    if cubic:
+    if cubic:   # a rotation: the 3D spline, imported here so the package loads no scipy
+        from scipy import ndimage
         reads = [ndimage.map_coordinates(v.data, idx, order=3, mode="mirror") for v in volumes]
     else:   # mirror: at index -0.5 a read gives (d[0] + d[1]) / 2 ("nearest" gives d[0]);
         # one read of the stack: the volumes share its weights
