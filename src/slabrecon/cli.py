@@ -1,8 +1,12 @@
 """Command-line interface: simulate, reconstruct, register, qc.
 
 Exit codes: 0 success, 2 usage/config error, 3 registration failure,
-4 data error. Every number printed to the console is also present in the
-JSON report written next to the output volumes.
+4 data error. A bad flag, config file or layout file, and an ``--out``
+directory that cannot be created, exit 2. An input NIfTI volume or ROI
+sidecar that cannot be read or parsed (missing, a directory, a truncated or
+corrupt ``.gz``), an unknown preset and data that disagree with the layout
+exit 4. Every number printed to the console is also present in the JSON
+report written next to the output volumes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ _REGISTRATION_EXIT = 3
 _DATA_EXIT = 4
 
 
+def _make_out(path):
+    """Create the output directory ``path``; one that cannot be made is a usage error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create --out directory {path}: {exc.strerror or exc}") from exc
+
+
 def _load_config(args):
     """``(config, layout, voxel_mm)`` from the config file and the common flags."""
     file_values = parse_config_file(args.config) if args.config else None
@@ -49,7 +61,7 @@ def cmd_simulate(args) -> int:
     dataset = simulate_acquisition(phantom.volume, layout, scenario,
                                    lr_inplane_factor=config.lr_inplane_factor, seed=config.seed)
 
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     write_volume(dataset.ground_truth, os.path.join(args.out, "truth.nii.gz"))
     slab_paths = []
     for j, slab in enumerate(dataset.slabs):
@@ -88,7 +100,7 @@ def cmd_reconstruct(args) -> int:
     slabs = [read_volume(p) for p in args.slabs]
     lr = read_volume(args.lr)
 
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     report_path = os.path.join(args.out, "report.json")
     try:
         shift = _shift_index((pad_slab(slab, layout, j) for j, slab in enumerate(slabs)),
@@ -134,7 +146,7 @@ def cmd_register(args) -> int:
     padded = pad_slab(slab, layout, args.slab_index)
     reference = prepare_reference(lr, (slab.geometry.spacing[0], slab.geometry.spacing[2]))
     result = register_rigid(padded, reference, config.registration_config())
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     write_json(os.path.join(args.out, "transform.json"), {
         "config": config.to_dict(),
         "slab_index": args.slab_index,
@@ -159,7 +171,7 @@ def cmd_qc(args) -> int:
         stack = volume.with_data(np.where(coverage.data >= 0.5, volume.data, 0.0))
     shift = _shift_index(stack, layout, config)
     qc = compute_qc(volume, rois, shift)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out(args.out)
     write_json(os.path.join(args.out, "qc.json"), {
         "config": config.to_dict(),
         "qc": qc.to_dict(),

@@ -24,7 +24,7 @@ import zlib
 
 import numpy as np
 
-from .errors import ParseError, UnsupportedFormat
+from .errors import InvalidInput, ParseError, UnsupportedFormat
 from .geometry import AffineGeometry, matrix_quat, normalized_quat, quat_matrix
 from .volume import Volume
 
@@ -65,7 +65,7 @@ def _maybe_decompress(raw: bytes, path) -> bytes:
     if raw[:2] == b"\x1f\x8b":
         try:
             return gzip.decompress(raw)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:   # bad header, truncated, bad deflate
             raise ParseError(f"bad gzip stream in {path}: {exc}", offset=0) from exc
     return raw
 
@@ -77,8 +77,11 @@ def _at(field):
 
 def read_volume(path) -> Volume:
     """Read a single-file NIfTI-1 volume; data is returned as float64."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:   # missing, a directory, unreadable
+        raise InvalidInput(f"cannot read NIfTI volume {path}: {exc.strerror or exc}") from exc
     raw = _maybe_decompress(raw, path)
     if len(raw) < HEADER_SIZE:
         raise ParseError(f"file shorter than the {HEADER_SIZE}-byte header", offset=0)

@@ -2,6 +2,8 @@
 
 Moving-subject convention: the anatomy is transformed while the scanner
 grid stays fixed, so slab j records truth(T_j^-1(p)) at world point p.
+Each slab is sampled on its own slice grid, the sub-grid ``split_volume``
+gives it: a moved slab is a cubic resample of the truth at those slices only.
 Between-slab motions are classified against what the head coil permits:
 rotations about any axis and translation along z are possible, in-plane
 translations (x, and y along the slab normal) are not.
@@ -114,6 +116,7 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
                          seed: int = 0) -> SimulatedDataset:
     """Slice the (per-slab transformed) truth into slabs and build the LR scan.
 
+    The truth is split once; a moved slab resamples it on its own part's grid.
     The LR reference widens the voxel along the in-plane z axis by
     ``lr_inplane_factor``, mirroring how the continuous reference scan trades
     resolution for coverage; reconstruction later interpolates it back in-plane.
@@ -123,25 +126,18 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
             f"scenario has {scenario.num_slabs} transforms, layout has "
             f"{layout.num_slabs} slabs"
         )
-    if truth.dims[1] != layout.final_slices:
-        raise LayoutMismatch(
-            f"truth stack has {truth.dims[1]} slices, layout expects {layout.final_slices}"
-        )
     peak = float(truth.data.max())
     sigma = scenario.noise_sigma_pct / 100.0 * peak
 
     slabs = []
-    for j, transform in enumerate(scenario.transforms):
-        if transform.is_identity():
-            moved = truth
-        else:
+    for j, (transform, slab) in enumerate(zip(scenario.transforms, split_volume(truth, layout))):
+        if not transform.is_identity():
             # the anatomy does not stop at the grid edge: extend by mirror
             # continuation so motion never drags void into the slab planes
-            [moved] = resample([truth], truth.geometry, invert(transform),
-                               InterpolationMethod.CubicBSpline, extend=True)
+            [slab] = resample([truth], slab.geometry, invert(transform),
+                              InterpolationMethod.CubicBSpline, extend=True)
             # the scanner records magnitudes: clamp interpolation undershoot
-            moved = moved.with_data(np.abs(moved.data))
-        slab = split_volume(moved, layout)[j]
+            slab = slab.with_data(np.abs(slab.data))
         slabs.append(rician_noise(slab, sigma, seed=_derive_seed(seed, j)))
 
     g = truth.geometry

@@ -612,3 +612,47 @@ def test_qc_with_a_non_finite_geometry_field_names_the_field(pipeline_dirs, tmp_
     assert f"error: {field} " in err and "must be finite" in err
     assert f"(byte offset {offset})" in err
     assert not (tmp_path / "qc").exists()
+
+
+def _unreadable_volume(tmp_path, source, kind):
+    """``_unreadable``'s missing path or directory, or ``source``'s gzip cut in
+    half or with its deflate data overwritten."""
+    if kind not in ("truncated", "corrupt deflate"):
+        return _unreadable(tmp_path, kind)
+    raw = source.read_bytes()
+    path = tmp_path / f"volume-{kind}.nii.gz"
+    path.write_bytes(raw[:len(raw) // 2] if kind == "truncated"
+                     else raw[:10] + b"\xff" * (len(raw) - 10))   # keeps the 10-byte header
+    return path
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "truncated", "corrupt deflate"])
+def test_qc_with_an_unreadable_volume_is_data_error(pipeline_dirs, tmp_path, capsys, kind):
+    sim, rec, _ = pipeline_dirs
+    volume = _unreadable_volume(tmp_path, rec / "fused.nii.gz", kind)
+    code = main(["qc", "--volume", str(volume), "--rois", str(sim / "rois.json"),
+                 "--out", str(tmp_path / "qc")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert str(volume) in err and "Traceback" not in err
+    assert not (tmp_path / "qc").exists()
+
+
+def test_reconstruct_with_a_missing_slab_is_data_error(pipeline_dirs, tmp_path, capsys):
+    sim, _, _ = pipeline_dirs
+    missing = tmp_path / "slab_01.nii.gz"
+    code = main(["reconstruct", "--slabs", str(sim / "slab_00.nii.gz"), str(missing),
+                 "--lr", str(sim / "lr.nii.gz"), "--out", str(tmp_path / "rec")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert str(missing) in err and "Traceback" not in err
+    assert not (tmp_path / "rec").exists()
+
+
+def test_out_under_a_regular_file_is_usage_error(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    code = main(["simulate", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"--out directory {out}" in err and "Traceback" not in err

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from slabrecon import (
+    PRESETS,
     AffineGeometry,
+    InterpolationMethod,
     LayoutMismatch,
     MotionScenario,
     RigidTransform,
     Volume,
     classify_motion,
+    invert,
+    resample,
     rician_noise,
     simulate_acquisition,
     split_volume,
@@ -22,6 +26,33 @@ def test_identity_zero_noise_slabs_equal_split(standard_phantom, interleaved_lay
     expected = split_volume(truth, interleaved_layout)
     for slab, exp in zip(ds.slabs, expected):
         assert np.array_equal(slab.data, exp.data)
+
+
+@pytest.mark.parametrize("preset", ["ns_7t_32ch_t2w_interleaved", "ns_7t_32ch_t2w_contiguous",
+                                    "cmrr_7t_32ch_t2w_interleaved4"])
+@pytest.mark.parametrize("rotation, translation", [
+    ((np.radians(1.5), 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.6)),
+    ((0.0, 0.0, 0.0), (0.0, 1.2, 0.0)),
+], ids=["rot_x", "trans_z", "trans_y_one_slice"])
+def test_moved_slab_is_its_part_of_the_moved_full_grid(preset, rotation, translation):
+    # the oracle resamples the whole truth and splits it; the simulator
+    # resamples only each slab's own slices: the same spline at the same points
+    preset = PRESETS[preset]
+    layout = preset.layout
+    g = AffineGeometry((14, layout.final_slices, 16), preset.voxel_mm)
+    truth = Volume(g, np.random.default_rng(5).uniform(0.0, 190.0, g.dims))
+    moved = RigidTransform(rotation=rotation, translation=translation,
+                           center=tuple(g.world_center()))
+    scenario = MotionScenario((moved,) * layout.num_slabs)
+    ds = simulate_acquisition(truth, layout, scenario, seed=0)
+
+    [full] = resample([truth], g, invert(moved), InterpolationMethod.CubicBSpline, extend=True)
+    expected = split_volume(full.with_data(np.abs(full.data)), layout)
+    tol = 1e-12 * np.ptp(truth.data)
+    for slab, exp in zip(ds.slabs, expected, strict=True):
+        assert slab.geometry.same_grid(exp.geometry)
+        np.testing.assert_allclose(slab.data, exp.data, rtol=0.0, atol=tol)
 
 
 def test_simulation_is_seed_deterministic(standard_phantom, interleaved_layout):
