@@ -1,12 +1,15 @@
 """Command-line interface: simulate, reconstruct, register, qc.
 
 Exit codes: 0 success, 2 usage/config error, 3 registration failure,
-4 data error. A bad flag, config file or layout file, and an ``--out``
-directory that cannot be created, exit 2. An input NIfTI volume or ROI
-sidecar that cannot be read or parsed (missing, a directory, a truncated or
-corrupt ``.gz``), an unknown preset and data that disagree with the layout
-exit 4. Every number printed to the console is also present in the JSON
-report written next to the output volumes.
+4 data error. A bad flag, config file or layout file, an ``--out``
+directory that cannot be created and an output file that cannot be written
+exit 2. An input NIfTI volume or ROI sidecar that cannot be read or parsed
+(missing, a directory, a truncated or corrupt ``.gz``), an unknown preset
+and data that disagree with the layout exit 4. Every command makes ``--out``
+once its config and inputs are loaded and checked, before it simulates,
+registers or measures: an input error leaves no directory, a later failure
+leaves the directory as it stands. Every number printed to the console is
+also present in the JSON report written next to the output volumes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
 from .fusion import reconstruct
 from .layout import InterleavedLayout, pad_slab, prepare_reference
 from .nifti import read_volume, write_volume
-from .phantom import generate_phantom, phantom_geometry
+from .phantom import generate_phantom
 from .qc import compute_qc, load_rois, save_rois, shift_index
 from .registration import register_rigid
 from .reports import run_report, write_json
@@ -48,20 +51,21 @@ def _make_out(path):
 
 
 def _load_config(args):
-    """``(config, layout, voxel_mm)`` from the config file and the common flags."""
-    file_values = parse_config_file(args.config) if args.config else None
-    return resolve_config(file_values, layout=args.layout, seed=args.seed)
+    """``resolve_config``'s ``(config, layout, phantom_grid)`` from the config file and
+    the common flags, and whether ``--layout`` or the config file named the layout."""
+    file_values = parse_config_file(args.config) if args.config else {}
+    named = args.layout is not None or "layout" in file_values
+    return (*resolve_config(file_values, layout=args.layout, seed=args.seed), named)
 
 
 def cmd_simulate(args) -> int:
-    config, layout, voxel = _load_config(args)
-    geometry = phantom_geometry(layout.final_slices, voxel, tuple(config.phantom_fov_mm))
+    config, layout, geometry, _ = _load_config(args)
     phantom = generate_phantom(config.phantom_spec(), geometry)
     scenario = config.motion_scenario(layout.num_slabs, geometry.world_center())
-    dataset = simulate_acquisition(phantom.volume, layout, scenario,
-                                   lr_inplane_factor=config.lr_inplane_factor, seed=config.seed)
 
     _make_out(args.out)
+    dataset = simulate_acquisition(phantom.volume, layout, scenario,
+                                   lr_inplane_factor=config.lr_inplane_factor, seed=config.seed)
     write_volume(dataset.ground_truth, os.path.join(args.out, "truth.nii.gz"))
     slab_paths = []
     for j, slab in enumerate(dataset.slabs):
@@ -96,7 +100,7 @@ def _shift_index(stack, layout, config):
 
 def cmd_reconstruct(args) -> int:
     t_start = time.perf_counter()
-    config, layout, _ = _load_config(args)
+    config, layout, _, _ = _load_config(args)
     slabs = [read_volume(p) for p in args.slabs]
     lr = read_volume(args.lr)
 
@@ -140,13 +144,14 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_register(args) -> int:
-    config, layout, _ = _load_config(args)
+    config, layout, _, _ = _load_config(args)
     slab = read_volume(args.slab)
     lr = read_volume(args.lr)
     padded = pad_slab(slab, layout, args.slab_index)
     reference = prepare_reference(lr, (slab.geometry.spacing[0], slab.geometry.spacing[2]))
-    result = register_rigid(padded, reference, config.registration_config())
+
     _make_out(args.out)
+    result = register_rigid(padded, reference, config.registration_config())
     write_json(os.path.join(args.out, "transform.json"), {
         "config": config.to_dict(),
         "slab_index": args.slab_index,
@@ -157,21 +162,20 @@ def cmd_register(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    file_values = parse_config_file(args.config) if args.config else {}
-    config, layout, _ = resolve_config(file_values, layout=args.layout, seed=args.seed)
+    config, layout, _, named = _load_config(args)
     volume = read_volume(args.volume)
     rois = load_rois(args.rois)
-    if args.layout is None and "layout" not in file_values:
-        layout = None   # the shift index needs a layout named by --layout or the config file
     stack = volume
     if args.coverage is not None:
         coverage = read_volume(args.coverage)
         if not coverage.geometry.same_grid(volume.geometry, tol=1e-6):
             raise InvalidInput("coverage map and volume must share one grid")
         stack = volume.with_data(np.where(coverage.data >= 0.5, volume.data, 0.0))
-    shift = _shift_index(stack, layout, config)
-    qc = compute_qc(volume, rois, shift)
+
     _make_out(args.out)
+    # the shift index needs a layout named by --layout or the config file
+    shift = _shift_index(stack, layout if named else None, config)
+    qc = compute_qc(volume, rois, shift)
     write_json(os.path.join(args.out, "qc.json"), {
         "config": config.to_dict(),
         "qc": qc.to_dict(),

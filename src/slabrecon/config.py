@@ -16,7 +16,7 @@ from .errors import ConfigError, InvalidInput
 from .fusion import DEFAULT_EPSILON
 from .geometry import RigidTransform
 from .layout import resolve_layout
-from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec
+from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec, phantom_geometry
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
 from .reports import JSON_NUMBER, parse_json, read_text
@@ -123,7 +123,7 @@ def resolve_config(file_values: dict | None = None, **overrides):
     """Merge defaults, config-file values and CLI overrides (in that order),
     check every value whatever the command, and resolve the layout.
 
-    Returns ``(config, layout, voxel_mm)``.
+    Returns ``(config, layout, phantom_grid)``; ``simulate`` evaluates the phantom there.
     """
     merged = {}
     for source in (file_values or {}, {k: v for k, v in overrides.items() if v is not None}):
@@ -156,11 +156,10 @@ def resolve_config(file_values: dict | None = None, **overrides):
             raise ConfigError(f"configuration: {key} must be {bound}")
     if len(config.phantom_fov_mm) != 2 or min(config.phantom_fov_mm) <= 0:
         raise ConfigError("configuration: phantom_fov_mm takes two values > 0")
-    # the phantom grid has round(fov / voxel) columns along x and z
     layout, voxel = resolve_layout(config.layout)
-    sx, _, sz = voxel
-    if any(round(fov / s) < 1 for fov, s in zip(config.phantom_fov_mm, (sx, sz))):
-        raise ConfigError(f"configuration: phantom_fov_mm {config.phantom_fov_mm} is under "
-                          f"one {sx} x {sz} mm voxel of layout {config.layout!r}")
+    try:
+        geometry = phantom_geometry(layout.final_slices, voxel, tuple(config.phantom_fov_mm))
+    except InvalidInput as exc:
+        raise ConfigError(f"configuration: phantom_fov_mm on {config.layout!r}: {exc}") from None
     config.motion_scenario(layout.num_slabs, (0.0, 0.0, 0.0))   # checks the scenario length
-    return config, layout, voxel
+    return config, layout, geometry

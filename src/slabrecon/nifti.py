@@ -18,13 +18,14 @@ The qform quaternion goes through ``geometry``'s ports of scipy 1.17.1's
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import os
 import zlib
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError, UnsupportedFormat
+from .errors import ConfigError, InvalidInput, ParseError, UnsupportedFormat
 from .geometry import AffineGeometry, matrix_quat, normalized_quat, quat_matrix
 from .volume import Volume
 
@@ -53,12 +54,18 @@ _FLOAT32_CODE = 16
 
 
 def atomic_write_bytes(path, payload: bytes):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename. A path that
+    cannot be written is a usage error naming it, and leaves no temp file."""
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _maybe_decompress(raw: bytes, path) -> bytes:

@@ -131,10 +131,14 @@ def _texture(x, y, z):
 def phantom_geometry(final_slices: int,
                      spacing=(0.3, 1.2, 0.3),
                      inplane_fov_mm=DEFAULT_INPLANE_FOV_MM) -> AffineGeometry:
-    """Default axis-aligned grid: the stack covers the full structure length."""
+    """Default axis-aligned grid: the stack covers the full structure length,
+    with round(fov / spacing) columns along x and z."""
     sx, sy, sz = spacing
-    nx = int(round(inplane_fov_mm[0] / sx))
-    nz = int(round(inplane_fov_mm[1] / sz))
+    columns = (inplane_fov_mm[0] / sx, inplane_fov_mm[1] / sz)
+    if not all(map(np.isfinite, columns)):
+        raise InvalidInput(f"in-plane FOV {list(inplane_fov_mm)} mm has no finite column "
+                           f"count at {sx} x {sz} mm")
+    nx, nz = (int(round(c)) for c in columns)
     return AffineGeometry((nx, int(final_slices), nz), (sx, sy, sz))
 
 

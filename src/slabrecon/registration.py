@@ -357,9 +357,10 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
 
 
 def apply_result(padded: PaddedSlab, result: RegistrationResult,
-                 reference_geometry: AffineGeometry) -> tuple[Volume, Volume]:
-    """Reslice signal and mask onto ``reference_geometry`` with the estimated
-    transform.
+                 target: AffineGeometry) -> tuple[Volume, Volume]:
+    """Reslice signal and mask onto the grid ``target`` with the estimated
+    transform. ``fusion.reconstruct`` passes slab 0's padded grid, the grid
+    every slab is fused on.
 
     Both are transported with the same trilinear kernel: the mask keeps
     fractional values in [0, 1] and, because the kernel is linear and
@@ -368,5 +369,5 @@ def apply_result(padded: PaddedSlab, result: RegistrationResult,
     is unusable here: on null-slice combs its coefficients ring and the
     signal/mask reads no longer cancel.
     """
-    return tuple(resample([padded.signal, padded.mask], reference_geometry,
+    return tuple(resample([padded.signal, padded.mask], target,
                           invert(result.transform), InterpolationMethod.Trilinear))

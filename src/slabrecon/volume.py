@@ -125,8 +125,8 @@ def _trilinear(flat, corners, idx) -> np.ndarray:
 
 
 def _mirror_fold(idx: np.ndarray, dims) -> np.ndarray:
-    """Fold indices (3, N), in place, into ``[0, n)`` as ``ndimage``'s "mirror" mode
-    does before it interpolates: reflect about the first and last voxel centres
+    """Fold indices (len(dims), N), in place, into ``[0, n)`` as ``ndimage``'s "mirror"
+    mode does before it interpolates: reflect about the first and last voxel centres
     (period ``2n - 2``); a one-voxel axis reads 0. Within [1 - n, n - 1] that is |x|."""
     idx[np.asarray(dims) == 1] = 0.0
     for a, n in enumerate(dims):
@@ -176,10 +176,8 @@ def _resample_axes(data, m, dims, extend):
         u = 1.0 - t
         weights = (u * u * u / 6.0, 2.0 / 3.0 - t * t * (1.0 - 0.5 * t),
                    2.0 / 3.0 - u * u * (1.0 - 0.5 * u), t * t * t / 6.0)
-        # ndimage's mirror: reflect about the first and last voxel centres
-        period = max(2 * n - 2, 1)
-        taps = np.abs(base.astype(np.int64)[:, None] + np.arange(-1, 3)) % period
-        taps = np.where(taps >= n, period - taps, taps)
+        taps = _mirror_fold((base[:, None] + np.arange(-1, 3)).reshape(1, -1), (n,))
+        taps = taps.astype(np.intp).reshape(-1, 4)
         coeffs = _prefilter(data, a)
         out = coeffs[taps[:, 0]] * weights[0]
         for k in range(1, 4):

@@ -656,3 +656,55 @@ def test_out_under_a_regular_file_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"--out directory {out}" in err and "Traceback" not in err
+
+
+def _identity_registration(padded, reference, config=None):
+    return RegistrationResult(RigidTransform.identity(), 2.0, (), 0)
+
+
+@pytest.mark.parametrize("command, blocked", [("simulate", "truth.nii.gz"),
+                                              ("reconstruct", "report.json")])
+def test_an_output_file_that_cannot_be_written_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                              monkeypatch, command, blocked):
+    # a directory in the output file's place: the rename fails, its temp file is removed
+    monkeypatch.setattr("slabrecon.fusion.register_rigid", _identity_registration)
+    sim, rec, _ = pipeline_dirs
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main([command, *_inputs(command, sim, rec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"cannot write {out / blocked}" in err and "Traceback" not in err
+    assert not list(out.glob("*.tmp.*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "register"])
+def test_out_under_a_regular_file_exits_before_simulating_or_registering(
+        pipeline_dirs, tmp_path, capsys, monkeypatch, command):
+    def work(*args, **kwargs):
+        pytest.fail(f"{command} ran before it made --out")
+
+    monkeypatch.setattr("slabrecon.cli.simulate_acquisition", work)
+    monkeypatch.setattr("slabrecon.cli.register_rigid", work)
+    sim, rec, _ = pipeline_dirs
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    code = main([command, *_inputs(command, sim, rec), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"--out directory {out}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "qc"])
+def test_phantom_fov_with_no_finite_column_count_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                                command):
+    # 1.7e308 mm is finite, but over a 0.3 mm column it overflows to inf columns
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "fov.cfg"
+    cfg.write_text("phantom_fov_mm = [1.7e308, 10.0]\n")
+    code = main([command, *_inputs(command, sim, rec), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "phantom_fov_mm" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

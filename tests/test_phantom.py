@@ -273,3 +273,9 @@ def test_roll_period_not_positive_rejected(period):
 def test_core_fraction_outside_the_open_unit_interval_rejected(fraction):
     with pytest.raises(InvalidInput, match="core fraction"):
         PhantomSpec(core_fraction=fraction)
+
+
+def test_phantom_grid_with_no_finite_column_count_rejected():
+    # 1.7e308 / 0.3 overflows to inf; int(round(inf)) would raise OverflowError
+    with pytest.raises(InvalidInput, match="no finite column count"):
+        phantom_geometry(80, (0.3, 1.2, 0.3), (1.7e308, 10.0))
