@@ -47,7 +47,6 @@ from .registration import (
 from .fusion import FusionOutput, fuse, reconstruct
 from .qc import (
     EllipsoidROI,
-    MotionRating,
     QCReport,
     ROIStats,
     ShiftReport,

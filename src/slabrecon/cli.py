@@ -175,10 +175,10 @@ def cmd_qc(args) -> int:
     _make_out(args.out)
     # the shift index needs a layout named by --layout or the config file
     shift = _shift_index(stack, layout if named else None, config)
-    qc = compute_qc(volume, rois, shift)
+    qc = compute_qc(volume, rois)
     write_json(os.path.join(args.out, "qc.json"), {
         "config": config.to_dict(),
-        "qc": qc.to_dict(),
+        "qc": {**qc.to_dict(), "shift": shift.to_dict() if shift else None},
     })
     if qc.rc is not None:
         print(f"RC: {qc.rc:.6f}")

@@ -16,11 +16,12 @@ from .errors import ConfigError, InvalidInput
 from .fusion import DEFAULT_EPSILON
 from .geometry import RigidTransform
 from .layout import resolve_layout
+from .nifti import MAX_DIM
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec, phantom_geometry
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
 from .reports import JSON_NUMBER, parse_json, read_text
-from .simulate import LR_INPLANE_FACTOR, MotionScenario
+from .simulate import LR_INPLANE_FACTOR, MotionScenario, lr_geometry
 
 _PHANTOM_SIZES = ("length_mm", "height_mm", "body_width_mm", "head_width_mm")
 _DEFAULT_MOTION = [1.5, 0.0, 0.0, 0.0, 0.0, 0.6]   # slab 1's row when scenario is None
@@ -161,5 +162,14 @@ def resolve_config(file_values: dict | None = None, **overrides):
         geometry = phantom_geometry(layout.final_slices, voxel, tuple(config.phantom_fov_mm))
     except InvalidInput as exc:
         raise ConfigError(f"configuration: phantom_fov_mm on {config.layout!r}: {exc}") from None
+    if max(geometry.dims) > MAX_DIM:   # simulate writes truth.nii.gz on this grid
+        raise ConfigError(f"configuration: phantom_fov_mm {config.phantom_fov_mm} on "
+                          f"{config.layout!r} gives a grid over {MAX_DIM} voxels on an axis, "
+                          "the NIfTI-1 limit")
+    try:
+        lr_geometry(geometry, config.lr_inplane_factor)
+    except InvalidInput as exc:
+        raise ConfigError(f"configuration: lr_inplane_factor {config.lr_inplane_factor} "
+                          f"on the {geometry.dims} phantom grid: {exc}") from None
     config.motion_scenario(layout.num_slabs, (0.0, 0.0, 0.0))   # checks the scenario length
     return config, layout, geometry

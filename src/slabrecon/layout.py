@@ -197,7 +197,10 @@ def resolve_layout(name: str) -> tuple[SlabLayout, tuple[float, float, float]]:
     """Preset name or path to a JSON layout file -> (layout, voxel spacing)."""
     if os.path.exists(name):
         spec = read_json(name, "layout file", ConfigError)
-        layout = layout_from_dict(spec)
+        try:
+            layout = layout_from_dict(spec)
+        except InvalidInput as exc:   # a value the layout's own checks refuse
+            raise ConfigError(f"layout file {name}: {exc}") from None
         default = (0.3, layout.slice_thickness_mm, 0.3)
         try:
             sx, sy, sz = (json_number(v) for v in spec.get("voxel_mm", default))

@@ -51,6 +51,7 @@ _DATATYPES = {
     768: np.dtype(np.uint32),
 }
 _FLOAT32_CODE = 16
+MAX_DIM = 32767   # the header stores dim as int16
 
 
 def atomic_write_bytes(path, payload: bytes):
@@ -210,6 +211,9 @@ def write_volume(volume: Volume, path):
     9 at about a quarter of the time; the decoded bytes do not depend on it.
     """
     geom = volume.geometry
+    if max(geom.dims) > MAX_DIM:
+        raise InvalidInput(f"cannot write {os.fspath(path)}: dims {geom.dims} exceed the "
+                           f"NIfTI-1 limit of {MAX_DIM} voxels per axis")
     qfac, quatern = _quaternion_fields(geom)
     hdr = np.zeros((), _HEADER)
     hdr["sizeof_hdr"] = HEADER_SIZE

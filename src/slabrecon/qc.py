@@ -9,11 +9,15 @@ near-identical while leaving same-slab similarity untouched, so
 rho - rho0 jumps; the report flags when it exceeds a threshold. It reads
 one stack on the final slice grid: the summed padded slabs before
 registration, or a fused volume after it.
+
+The paper rated motion artefacts by eye; these numbers stand in for that
+rating. ``compute_qc`` measures one volume (ROI stats, RC, SNR) and
+``shift_index`` one stack; ``slabrecon qc`` writes both into ``qc.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from .layout import InterleavedLayout, SlabLayout
 from .reports import json_number, read_json, write_json
 from .volume import Volume
 
-MOTION_RATING_LEVELS = ("none", "medium", "large")
 # fewest voxels a slice pair must share for its correlation to count
 _MIN_REGION = 32
 DEFAULT_SHIFT_THRESHOLD = 0.15       # rho - rho0 that raises the flag
@@ -67,35 +70,6 @@ class ROIStats:
     std: float
     count: int
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "count": self.count}
-
-
-@dataclass(frozen=True)
-class MotionRating:
-    """Human rating metadata; the rating itself is not computed here."""
-
-    level: str
-    slab_index: int
-    repetition: int = 0
-    rater: str = ""
-    note: str = ""
-
-    def __post_init__(self):
-        if self.level not in MOTION_RATING_LEVELS:
-            raise InvalidInput(
-                f"rating level must be one of {MOTION_RATING_LEVELS}, got {self.level!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "slab_index": self.slab_index,
-            "repetition": self.repetition,
-            "rater": self.rater,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class ShiftReport:
@@ -114,16 +88,7 @@ class ShiftReport:
         return self.rho - self.rho0
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "rho0": self.rho0,
-            "margin": self.margin,
-            "flag": self.flag,
-            "threshold": self.threshold,
-            "degenerate": self.degenerate,
-            "cross_profile": [list(p) for p in self.cross_profile],
-            "same_profile": [list(p) for p in self.same_profile],
-        }
+        return {**asdict(self), "margin": self.margin}
 
 
 def roi_stats(volume: Volume, roi: EllipsoidROI) -> ROIStats:
@@ -239,26 +204,17 @@ def shift_index(stack, layout: SlabLayout, threshold: float = DEFAULT_SHIFT_THRE
 
 @dataclass(frozen=True)
 class QCReport:
-    rc: float | None = None
-    snr: float | None = None
-    shift: ShiftReport | None = None
-    rois: dict = field(default_factory=dict)
-    motion_ratings: tuple = ()
+    rc: float | None
+    snr: float | None
+    rois: dict
 
     def to_dict(self) -> dict:
-        return {
-            "rc": self.rc,
-            "snr": self.snr,
-            "shift": self.shift.to_dict() if self.shift is not None else None,
-            "rois": {label: s.to_dict() for label, s in self.rois.items()},
-            "motion_ratings": [m.to_dict() for m in self.motion_ratings],
-        }
+        return asdict(self)
 
 
-def compute_qc(volume: Volume, rois: dict, shift: ShiftReport | None = None,
-               motion_ratings=()) -> QCReport:
-    """Standard QC block: ROI stats for every labelled ROI, RC from GM/WM,
-    SNR from GM/BG, plus an optional shift report."""
+def compute_qc(volume: Volume, rois: dict) -> QCReport:
+    """ROI stats for every labelled ROI, RC from GM/WM and SNR from GM/BG;
+    RC or SNR is None when its ROIs are missing, SNR also when BG has no spread."""
     stats = {label: roi_stats(volume, roi) for label, roi in rois.items()}
     rc_value = None
     snr_value = None
@@ -266,7 +222,7 @@ def compute_qc(volume: Volume, rois: dict, shift: ShiftReport | None = None,
         rc_value = relative_contrast(stats["GM"], stats["WM"])
     if "GM" in stats and "BG" in stats and stats["BG"].std > 0:
         snr_value = snr(stats["GM"], stats["BG"])
-    return QCReport(rc_value, snr_value, shift, stats, tuple(motion_ratings))
+    return QCReport(rc_value, snr_value, stats)
 
 
 def load_rois(path) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, LayoutMismatch
-from .geometry import RigidTransform, invert
+from .geometry import AffineGeometry, RigidTransform, invert
 from .layout import SlabLayout, split_volume
 from .volume import InterpolationMethod, Volume, resample
 
@@ -111,6 +111,12 @@ def rician_noise(volume: Volume, sigma: float, seed: int) -> Volume:
     return volume.with_data(np.sqrt(n1, out=n1))
 
 
+def lr_geometry(geometry: AffineGeometry, lr_inplane_factor: float) -> AffineGeometry:
+    """The LR grid over ``geometry``'s extent; ``InvalidInput`` if it has no z column."""
+    sx, sy, sz = geometry.spacing
+    return geometry.with_spacing((sx, sy, lr_inplane_factor * sz))
+
+
 def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScenario,
                          lr_inplane_factor: float = LR_INPLANE_FACTOR,
                          seed: int = 0) -> SimulatedDataset:
@@ -140,10 +146,8 @@ def simulate_acquisition(truth: Volume, layout: SlabLayout, scenario: MotionScen
             slab = slab.with_data(np.abs(slab.data))
         slabs.append(rician_noise(slab, sigma, seed=_derive_seed(seed, j)))
 
-    g = truth.geometry
-    lr_geom = g.with_spacing((g.spacing[0], g.spacing[1], lr_inplane_factor * g.spacing[2]))
-    [lr] = resample([truth], lr_geom, RigidTransform.identity(),
-                    InterpolationMethod.CubicBSpline, extend=True)
+    [lr] = resample([truth], lr_geometry(truth.geometry, lr_inplane_factor),
+                    RigidTransform.identity(), InterpolationMethod.CubicBSpline, extend=True)
     lr = lr.with_data(np.abs(lr.data))
     lr = rician_noise(lr, sigma, seed=_derive_seed(seed, 1000))
 

@@ -708,3 +708,41 @@ def test_phantom_fov_with_no_finite_column_count_is_usage_error(pipeline_dirs, t
     assert code == 2
     assert "phantom_fov_mm" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "register", "qc"])
+def test_scenario_row_count_other_than_the_slab_count_is_usage_error(pipeline_dirs, tmp_path,
+                                                                     capsys, command):
+    # one well-formed row against the default preset's two slabs
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = [[0, 0, 0, 0, 0, 0]]\n")
+    code = main([command, *_inputs(command, sim, rec), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "scenario lists 1 slabs, layout has 2" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_lr_inplane_factor_that_leaves_no_z_column_is_usage_error(tmp_path, capsys):
+    # 64 columns of 0.3 mm make 19.2 mm, under half of one 60 mm LR voxel
+    cfg = tmp_path / "lr.cfg"
+    cfg.write_text("lr_inplane_factor = 200.0\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "lr_inplane_factor" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fov", ["[9900.0, 0.6]", "[1e300, 10.0]"])
+def test_phantom_grid_over_the_nifti_dim_limit_is_usage_error(tmp_path, capsys, fov):
+    # NIfTI-1 stores dim as int16: 33,000 columns cannot be written
+    cfg = tmp_path / "fov.cfg"
+    cfg.write_text(f"phantom_fov_mm = {fov}\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "phantom_fov_mm" in err and "32767" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 
 import numpy as np
+import pytest
 
 from slabrecon import (
     InterleavedLayout,
@@ -14,6 +15,7 @@ from slabrecon import (
     shift_index,
     simulate_acquisition,
 )
+from slabrecon.cli import main
 from slabrecon.config import PipelineConfig
 
 
@@ -52,3 +54,14 @@ def test_pipeline_defaults_are_the_owners_defaults():
     truth = Volume(geometry, np.ones(geometry.dims))
     lr = simulate_acquisition(truth, layout, MotionScenario.identity(2)).lr
     assert lr.geometry.spacing[2] == config.lr_inplane_factor * geometry.spacing[2]
+
+
+@pytest.mark.parametrize("text, lineno", [("seed 3\n", 1), ("# seed\n\nseed = 3\nbins: 32\n", 4)])
+def test_config_line_without_an_equals_sign_is_usage_error(tmp_path, capsys, text, lineno):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{cfg}:{lineno}: expected 'key = value'" in err
+    assert not (tmp_path / "out").exists()

@@ -131,3 +131,13 @@ def test_index_map_matches_world_chain(src_rot, dst_rot, src_spacing, dst_spacin
     expected = dst.world_to_index(t.apply(src.index_to_world(idx.T))).T
     assert m.shape == (3, 4)
     assert np.abs(m[:, :3] @ idx + m[:, 3:] - expected).max() <= 1e-9
+
+
+@pytest.mark.parametrize("matrix, match", [
+    (np.eye(3), "rigid matrix must be 4x4"),
+    (np.diag([2.0, 1.0, 1.0, 1.0]), "matrix block is not orthonormal"),
+    (np.diag([-1.0, 1.0, 1.0, 1.0]), "matrix block is a reflection, not a rotation"),
+], ids=["three_by_three", "scaled", "reflection"])
+def test_from_matrix_refuses_a_matrix_that_is_no_rigid_motion(matrix, match):
+    with pytest.raises(InvalidInput, match=match):
+        RigidTransform.from_matrix(matrix)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,9 @@ from slabrecon import (
     prepare_reference,
     simulate_acquisition,
     split_volume,
+    write_volume,
 )
+from slabrecon.cli import main
 from slabrecon.geometry import index_map
 from slabrecon.layout import layout_from_dict
 from slabrecon.volume import in_field
@@ -317,3 +321,50 @@ def test_padded_slab_grid_lies_inside_reference(name):
     m = index_map(pad, RigidTransform.identity(), reference.geometry)
     idx = m[:, :3] @ np.indices(pad.dims, dtype=float).reshape(3, -1) + m[:, 3:]
     assert in_field(idx, reference.dims).all()
+
+
+_CHILD = {"kind": "interleaved", "slices_per_slab": 4}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**_CHILD, "slices_per_slab": 0}, "slices_per_slab must be >= 1"),
+    ({**_CHILD, "slice_thickness_mm": 0}, "slice thickness must be > 0"),
+    ({**_CHILD, "slabs": 1}, "interleaved layout needs at least 2 slabs"),
+    ({"kind": "contiguous", "slices_per_slab": 4, "slabs": 0},
+     "contiguous layout needs at least 1 slab"),
+    ({"kind": "contiguous", "slices_per_slab": 4, "overlap_slices": 4},
+     "overlap must be in [0, slices_per_slab)"),
+    ({"kind": "contiguous", "slices_per_slab": 4, "slabs": 3, "overlap_slices": 3},
+     "overlap must not exceed half a slab for 3+ slabs"),
+    ({"kind": "nested", "children": [_CHILD]}, "nested layout needs at least 2 children"),
+    ({"kind": "nested", "children": [_CHILD, {**_CHILD, "slices_per_slab": 5}]},
+     "nested children must share slice count and thickness"),
+    ({"kind": "nested", "children": [_CHILD, _CHILD], "overlap_slices": -1},
+     "overlap must be >= 0"),
+    ({**_CHILD, "kind": "spiral"}, "unknown layout kind 'spiral'"),
+], ids=["no_slices", "zero_thickness", "one_interleaved_slab", "no_contiguous_slab",
+        "overlap_a_whole_slab", "overlap_over_half_a_slab", "one_child", "unequal_children",
+        "negative_overlap", "unknown_kind"])
+def test_layout_file_the_layout_refuses_is_usage_error(tmp_path, capsys, spec, message):
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(json.dumps(spec))
+    code = main(["simulate", "--out", str(tmp_path / "sim"), "--layout", str(layout_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_register_with_a_slab_spacing_other_than_the_layout_is_data_error(tmp_path, capsys):
+    # two interleaved slabs of 1.2 mm slices: each slab's slices lie 2.4 mm apart
+    # (1.5 mm is exact in the float32 header, so the message shows it as given)
+    layout_file = tmp_path / "layout.json"
+    layout_file.write_text(json.dumps(_CHILD))
+    slab = tmp_path / "slab.nii"
+    write_volume(Volume(AffineGeometry((6, 4, 5), (0.3, 1.5, 0.3)), np.ones((6, 4, 5))), slab)
+    code = main(["register", "--layout", str(layout_file), "--slab", str(slab), "--lr", str(slab),
+                 "--slab-index", "0", "--out", str(tmp_path / "reg")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "acquired slice spacing 1.5 mm does not match layout slab spacing 2.4 mm" in err
+    assert not (tmp_path / "reg").exists()

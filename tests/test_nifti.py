@@ -8,12 +8,14 @@ from scipy.spatial.transform import Rotation
 
 from slabrecon import (
     AffineGeometry,
+    InvalidInput,
     ParseError,
     UnsupportedFormat,
     Volume,
     read_volume,
     write_volume,
 )
+from slabrecon.cli import main
 
 
 def float32_volume(seed=0, dims=(7, 5, 6), origin=(4.5, -2.25, 11.0), axes=None):
@@ -262,3 +264,43 @@ def test_header_fields_sit_at_the_nifti1_offsets(tmp_path):
     assert raw[344:348] == b"n+1\x00"
     assert len(raw) == 352 + 4 * vol.data.size
 
+
+
+def test_write_refuses_dims_over_the_int16_header_field(tmp_path):
+    # dim is int16 in the header: 32767 voxels on an axis is the most it holds
+    path = tmp_path / "wide.nii"
+    write_volume(Volume(AffineGeometry((32767, 1, 1), (1.0, 1.0, 1.0)), np.zeros((32767, 1, 1))),
+                 path)
+    assert read_volume(path).dims == (32767, 1, 1)
+    too_wide = Volume(AffineGeometry((1, 1, 32768), (1.0, 1.0, 1.0)), np.zeros((1, 1, 32768)))
+    with pytest.raises(InvalidInput, match=r"dims \(1, 1, 32768\) exceed .* 32767"):
+        write_volume(too_wide, tmp_path / "too_wide.nii")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.nii"]
+
+
+@pytest.mark.parametrize("patch, message", [
+    ([("<h", 40, 0)], "dim[0] = 0 outside [1, 7] (byte offset 40)"),
+    ([("<h", 40, 8)], "dim[0] = 8 outside [1, 7] (byte offset 40)"),
+    ([("<h", 40, 2)], "need a 3D volume, got 2D"),
+    ([("<h", 44, 0)], "non-positive spatial dims (7, 0, 6) (byte offset 40)"),
+    ([("<h", 46, -6)], "non-positive spatial dims (7, 5, -6) (byte offset 40)"),
+    ([("<f", 280, 0.0), ("<f", 296, 0.0), ("<f", 312, 0.0)], "affine has a zero-length column"),
+    ([("<f", 296, 0.1)], "sheared affine"),
+], ids=["dim0_zero", "dim0_eight", "two_d", "zero_dim", "negative_dim", "zero_column",
+        "sheared"])
+def test_qc_with_a_nifti_header_the_reader_refuses_is_data_error(tmp_path, capsys, patch,
+                                                                  message):
+    # srow rows sit at 280, 296 and 312: a column is one float of each
+    path = tmp_path / "vol.nii"
+    write_volume(float32_volume(), path)
+    raw = bytearray(path.read_bytes())
+    for fmt, at, value in patch:
+        struct.pack_into(fmt, raw, at, value)
+    path.write_bytes(bytes(raw))
+    # the volume is read first: the ROI sidecar is never opened
+    code = main(["qc", "--volume", str(path), "--rois", str(tmp_path / "rois.json"),
+                 "--out", str(tmp_path / "qc")])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "qc").exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from slabrecon import (
     InterleavedLayout,
     InvalidInput,
     LayoutMismatch,
-    MotionRating,
     MotionScenario,
     RigidTransform,
     ROIStats,
@@ -23,7 +24,10 @@ from slabrecon import (
     shift_index,
     simulate_acquisition,
     snr,
+    write_volume,
 )
+from slabrecon.cli import main
+from slabrecon.reports import read_json
 
 
 def cube_volume(value=10.0, dims=(12, 12, 12)):
@@ -123,15 +127,6 @@ def test_snr_against_gaussian_noise_oracle():
     assert abs(value - expected) / expected <= 0.05
 
 
-# --- motion rating metadata --------------------------------------------------
-
-def test_motion_rating_levels():
-    r = MotionRating("medium", slab_index=1, repetition=0, rater="r1")
-    assert r.to_dict()["level"] == "medium"
-    with pytest.raises(InvalidInput):
-        MotionRating("huge", slab_index=0)
-
-
 # --- shift index -------------------------------------------------------------
 
 def simulate_padded_pair(truth, layout, shift_mm, noise_pct, seed):
@@ -226,10 +221,60 @@ def test_shift_index_rejects_wrong_slice_count(standard_phantom):
 # --- report assembly ---------------------------------------------------------
 
 def test_compute_qc_report(standard_phantom):
-    qc = compute_qc(standard_phantom.volume, standard_phantom.rois,
-                    motion_ratings=(MotionRating("none", 0), MotionRating("medium", 1)))
+    qc = compute_qc(standard_phantom.volume, standard_phantom.rois)
     assert qc.rc == pytest.approx(0.4, abs=1e-12)
     assert qc.snr is None  # noise-free background has zero std
     payload = qc.to_dict()
     assert set(payload["rois"]) == {"GM", "WM", "BG"}
-    assert [m["level"] for m in payload["motion_ratings"]] == ["none", "medium"]
+
+
+# --- typed errors through `slabrecon qc` -------------------------------------
+
+def _qc_command(tmp_path, rois, slices=8, coverage=None):
+    """``slabrecon qc`` on a 6 x ``slices`` x 5 volume of 1 mm voxels (centres on
+    whole millimetres) with an interleaved layout of 1 slice per slab."""
+    geometry = AffineGeometry((6, slices, 5), (1.0, 1.2, 1.0))
+    write_volume(Volume(geometry, np.random.default_rng(0).uniform(1.0, 2.0, geometry.dims)),
+                 tmp_path / "vol.nii")
+    (tmp_path / "layout.json").write_text(json.dumps(
+        {"kind": "interleaved", "slices_per_slab": 1, "slabs": slices}))
+    (tmp_path / "rois.json").write_text(rois if isinstance(rois, str) else json.dumps(rois))
+    argv = ["qc", "--volume", str(tmp_path / "vol.nii"), "--rois", str(tmp_path / "rois.json"),
+            "--layout", str(tmp_path / "layout.json"), "--out", str(tmp_path / "qc")]
+    if coverage is not None:
+        write_volume(Volume(geometry, np.full(geometry.dims, coverage)), tmp_path / "cov.nii")
+        argv += ["--coverage", str(tmp_path / "cov.nii")]
+    return main(argv)
+
+
+_GM = {"center_mm": [2.0, 2.4, 2.0], "semi_axes_mm": [1.5, 1.5, 1.5]}
+
+
+@pytest.mark.parametrize("rois, message", [
+    ({"GM": {**_GM, "semi_axes_mm": [0.0, 1.5, 1.5]}}, "ellipsoid semi-axes must be > 0"),
+    ({"GM": {**_GM, "axes": [[2, 0, 0], [0, 1, 0], [0, 0, 1]]}}, "ROI axes must be orthonormal"),
+    ({"GM": {**_GM, "center_mm": [2.5, 2.4, 2.5], "semi_axes_mm": [0.1, 0.1, 0.1]}},
+     "ROI 'GM' contains no voxel centers"),
+    ("[1, 2]", "ROI sidecar must be a JSON object keyed by label"),
+], ids=["zero_semi_axis", "non_orthonormal_axes", "no_voxel_centre", "not_an_object"])
+def test_qc_command_with_an_roi_it_cannot_measure_is_data_error(tmp_path, capsys, rois,
+                                                                message):
+    code = _qc_command(tmp_path, rois)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert message in err and "Traceback" not in err
+
+
+def test_qc_command_shift_index_on_three_slices_is_data_error(tmp_path, capsys):
+    code = _qc_command(tmp_path, {"GM": _GM}, slices=3)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "shift index needs at least 4 slices" in err
+
+
+def test_qc_command_with_an_all_zero_stack_reports_a_degenerate_shift(tmp_path):
+    # a coverage map of zeros leaves no voxel for the shift index to correlate
+    assert _qc_command(tmp_path, {"GM": _GM}, coverage=0.0) == 0
+    shift = read_json(tmp_path / "qc" / "qc.json")["qc"]["shift"]
+    assert shift["degenerate"] is True and shift["flag"] is False
+    assert shift["rho"] is None and shift["rho0"] is None and shift["margin"] is None

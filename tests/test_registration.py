@@ -8,9 +8,13 @@ from slabrecon import (
     AffineGeometry,
     EmptyOverlap,
     InterleavedLayout,
+    InvalidInput,
+    JointHistogram,
     MotionScenario,
+    PaddedSlab,
     PhantomSpec,
     RegistrationConfig,
+    RegistrationFailed,
     RigidTransform,
     Volume,
     apply_result,
@@ -512,3 +516,33 @@ def test_objective_at_or_under_the_cap_keeps_every_sample_at_every_stride():
         assert level.n_samples == 1024
         assert (np.diff(_flat(level, dims)) > 0).all()
         assert np.array_equal(level.index, whole.index) == (whole.n_samples == 1024)
+
+
+# --- typed errors ------------------------------------------------------------
+
+_GRID = AffineGeometry((6, 4, 6), (1.0, 1.2, 1.0))
+_IMAGE = Volume(_GRID, np.arange(144.0).reshape(_GRID.dims))
+_FULL_MASK = Volume(_GRID, np.ones(_GRID.dims))
+_ODD_VOXEL_MASK = Volume(_GRID, np.pad(np.ones((1, 1, 1)), ((1, 4), (0, 3), (1, 4))))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: joint_histogram(_IMAGE, _IMAGE, Volume(_GRID.with_spacing((2.0, 1.2, 1.0)),
+                                                    np.ones((3, 4, 6))),
+                             RigidTransform.identity()),
+     InvalidInput, "moving image and mask must share a grid"),
+    # the one masked voxel sits at x = z = 1, off the stride-2 lattice
+    (lambda: register_rigid(PaddedSlab(_IMAGE, _ODD_VOXEL_MASK, 0), _IMAGE,
+                            RegistrationConfig(pyramid=(2, 1))),
+     RegistrationFailed, "mask empty at sampling stride 2"),
+    (lambda: joint_histogram(_IMAGE, _IMAGE, _FULL_MASK, RigidTransform.identity(), bins=4),
+     InvalidInput, "need at least 8 bins"),
+    (lambda: joint_histogram(_IMAGE, _IMAGE, _FULL_MASK,
+                             RigidTransform(translation=(100.0, 0.0, 0.0))),
+     EmptyOverlap, "no masked voxel lands inside the fixed image"),
+    (lambda: nmi(JointHistogram(np.zeros((8, 8)), 0.0)), InvalidInput, "histogram has no weight"),
+], ids=["mask_on_another_grid", "mask_empty_at_stride", "too_few_bins", "no_sample_in_field",
+        "zero_weight_histogram"])
+def test_registration_raises_its_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -5,6 +5,7 @@ from slabrecon import (
     PRESETS,
     AffineGeometry,
     InterpolationMethod,
+    InvalidInput,
     LayoutMismatch,
     MotionScenario,
     RigidTransform,
@@ -187,3 +188,24 @@ def test_scenario_serialization_roundtrip_fields():
     assert payload["labels"] == [[], ["trans_z"]]
     assert payload["realistic"] is True
     assert len(payload["transforms"]) == 2
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: MotionScenario.identity(2, noise_sigma_pct=-0.5), "noise sigma must be >= 0"),
+    (lambda: rician_noise(Volume(AffineGeometry((2, 2, 2), (1.0, 1.0, 1.0)), np.ones((2, 2, 2))),
+                          -1.0, seed=0), "sigma must be >= 0"),
+], ids=["scenario", "rician_noise"])
+def test_negative_noise_sigma_is_invalid(call, match):
+    with pytest.raises(InvalidInput, match=match):
+        call()
+
+
+def test_translation_over_the_bound_is_not_realistic():
+    # z is the one coil-possible translation: only the 3 mm bound refuses it
+    def moved(tz):
+        return MotionScenario((RigidTransform.identity(),
+                               RigidTransform(translation=(0.0, 0.0, tz))))
+
+    assert moved(2.9).realistic
+    assert not moved(3.1).realistic
+    assert not moved(-3.1).realistic
