@@ -41,6 +41,10 @@ _NMI_SLACK = 1e-9
 # the most samples a pyramid level scores per joint-histogram bin (Mattes et al.,
 # IEEE TMI 22:120, 2003; Klein, Staring & Pluim, IEEE TIP 16:2879, 2007)
 _SAMPLES_PER_BIN = 16
+# the most joint-histogram bins per axis: 256^2 cells already match the 65,536 samples
+# a level scores at the default 64 bins, and 8-bit intensities need no finer bins;
+# 100,000 bins would ask np.bincount for 74.5 GiB of counts
+MAX_BINS = 256
 
 # Compass-search steps at stride 1; coarser levels scale them by the stride.
 _ROTATION_STEP_DEG = 0.5            # the accuracy bound; halving refines below it
@@ -133,6 +137,11 @@ def joint_histogram(moving: Volume, fixed: Volume, mask: Volume,
     return h
 
 
+def _check_bins(bins: int) -> None:
+    if not 8 <= bins <= MAX_BINS:
+        raise InvalidInput(f"need at least 8 bins and at most {MAX_BINS}, got {bins}")
+
+
 @dataclass(frozen=True)
 class RegistrationConfig:
     bins: int = 64
@@ -141,10 +150,9 @@ class RegistrationConfig:
     step_halvings: int = 5
 
     def __post_init__(self):
-        if self.bins < 8:
-            raise InvalidInput("need at least 8 bins")
-        if len(self.pyramid) < 1 or any(s < 1 for s in self.pyramid):
-            raise InvalidInput("pyramid strides must be >= 1")
+        _check_bins(self.bins)
+        if len(self.pyramid) < 1 or any(s < 1 or not float(s).is_integer() for s in self.pyramid):
+            raise InvalidInput(f"pyramid strides must be whole numbers >= 1, got {self.pyramid}")
         if self.max_iterations < 1 or self.step_halvings < 0:
             raise InvalidInput("max_iterations must be >= 1 and step_halvings >= 0")
         object.__setattr__(self, "pyramid", tuple(int(s) for s in self.pyramid))
@@ -191,8 +199,7 @@ class _MaskedNmiObjective:
     """
 
     def __init__(self, moving: Volume, mask: Volume, fixed: Volume, bins: int):
-        if bins < 8:
-            raise InvalidInput("need at least 8 bins")
+        _check_bins(bins)
         if not mask.geometry.same_grid(moving.geometry, tol=1e-6):
             raise InvalidInput("moving image and mask must share a grid")
         sel = mask.data >= 0.5

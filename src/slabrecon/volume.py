@@ -17,8 +17,10 @@ the 3D spline, but rounded in another order: values agree to ~1e-13 of
 the data's range, not bit for bit. The 1D prefilter is a NumPy port of
 ``ndimage.spline_filter1d(order=3, mode="mirror")`` with its bits: scipy
 1.17.1's ``ni_splines.c``, Unser's recursive filter (IEEE Signal Proc. Mag.
-16:22, 1999). Cubic rotations, only the simulator's rotated slab, take
-``ndimage.map_coordinates``: the one scipy import, inside that branch.
+16:22, 1999). Any other cubic map, a rotation (only the simulator's moved
+slab), runs the 3D spline: ``_spline_filter`` and ``_cubic``, a NumPy port of
+``ndimage.map_coordinates(order=3, mode="mirror")`` with its bits (Thevenaz,
+Blu & Unser, IEEE TMI 19:739, 2000). No module of the package imports scipy.
 Every trilinear read, here and in the registration objective, is
 ``_trilinear``, a NumPy gather from a flat copy padded by one voxel per
 side: edge padding gives ``ndimage``'s "nearest", reflect padding at
@@ -163,6 +165,50 @@ def _prefilter(data, axis) -> np.ndarray:
     return c
 
 
+def _spline_filter(data) -> np.ndarray:
+    """``ndimage.spline_filter(data, 3, mode="mirror")``: ``_prefilter`` along x, y, z in turn."""
+    for a in range(3):
+        data = np.moveaxis(_prefilter(data, a), 0, a)
+    return np.ascontiguousarray(data)
+
+
+def _cubic(coeffs, idx) -> np.ndarray:
+    """Cubic B-spline read of ``_spline_filter`` coefficients at mirror-folded indices
+    ``idx`` (3, N), in cache-sized chunks: ``ndimage.map_coordinates(order=3,
+    mode="mirror")``'s arithmetic in its order. Per axis, the taps ``floor(x) - 1 ...
+    floor(x) + 2`` are folded too and weighted as ``ni_splines.c`` weights them; the
+    64 terms ``((c * wx) * wy) * wz`` are summed from +0.0, z fastest."""
+    flat, dims = coeffs.ravel(), coeffs.shape
+    strides = np.array([dims[1] * dims[2], dims[2], 1.0])[:, None, None]
+    out = np.zeros(idx.shape[1])
+    chunk = min(_READ_CHUNK, idx.shape[1])
+    pair, index, term = np.empty(chunk, np.intp), np.empty(chunk, np.intp), np.empty(chunk)
+    for start in range(0, idx.shape[1], _READ_CHUNK):
+        part = idx[:, start:start + _READ_CHUNK]
+        low = np.floor(part)
+        t = part - low
+        u = 1.0 - t
+        w = [u * u * u / 6.0, (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0,
+             (u * u * (u - 2.0) * 3.0 + 4.0) / 6.0]
+        w = np.stack(w + [1.0 - w[0] - w[1] - w[2]], axis=1)   # (3 axes, 4 taps, n)
+        taps = low[:, None] + np.arange(-1.0, 3.0)[:, None]
+        offsets = _mirror_fold(taps.reshape(3, -1), dims).reshape(taps.shape) * strides
+        offsets = offsets.astype(np.intp)   # exact: small whole numbers
+        n, acc = part.shape[1], out[start:start + _READ_CHUNK]
+        pair, index, term = pair[:n], index[:n], term[:n]   # only the last chunk is shorter
+        for i in range(4):
+            for j in range(4):
+                np.add(offsets[0, i], offsets[1, j], out=pair)
+                for k in range(4):
+                    np.add(pair, offsets[2, k], out=index)
+                    flat.take(index, out=term, mode="clip")   # unbuffered; none is clipped
+                    term *= w[0, i]
+                    term *= w[1, j]
+                    term *= w[2, k]
+                    acc += term
+    return out
+
+
 def _resample_axes(data, m, dims, extend):
     """Cubic B-spline resampling onto ``dims`` by a diagonal index map ``m``:
     per axis, a 1D mirror prefilter, then four taps at ``p = m[a, a] * k + m[a, 3]``."""
@@ -215,13 +261,12 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     if not extend:   # by index: a boolean mask over (3, N) takes 5x longer
         keep = np.flatnonzero(in_field(idx, source.dims))
         idx = idx.take(keep, axis=1)
-    if cubic:   # a rotation: the 3D spline, imported here so the package loads no scipy
-        from scipy import ndimage
-        reads = [ndimage.map_coordinates(v.data, idx, order=3, mode="mirror") for v in volumes]
-    else:   # mirror: at index -0.5 a read gives (d[0] + d[1]) / 2 ("nearest" gives d[0]);
-        # one read of the stack: the volumes share its weights
-        reads = _trilinear(*padded_flat(np.stack([v.data for v in volumes]), "reflect"),
-                           _mirror_fold(idx, source.dims))
+    # mirror: at index -0.5 a trilinear read gives (d[0] + d[1]) / 2 ("nearest" gives d[0])
+    idx = _mirror_fold(idx, source.dims)
+    if cubic:   # a rotation: the 3D spline, ndimage's bits in NumPy
+        reads = [_cubic(_spline_filter(v.data), idx) for v in volumes]
+    else:   # one read of the stack: the volumes share its weights
+        reads = _trilinear(*padded_flat(np.stack([v.data for v in volumes]), "reflect"), idx)
     values = np.zeros((len(volumes), target.n_voxels))
     for row, read in zip(values, reads):
         row[keep] = read + 0.0   # a sum of -0.0 terms is +0.0 in ndimage

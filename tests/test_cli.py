@@ -8,7 +8,7 @@ import pytest
 from slabrecon import RegistrationFailed, RigidTransform
 from slabrecon import read_volume
 from slabrecon.cli import main
-from slabrecon.registration import RegistrationResult
+from slabrecon.registration import MAX_BINS, RegistrationResult
 from slabrecon.reports import read_json
 
 
@@ -285,6 +285,26 @@ def test_search_budget_out_of_range_is_usage_error(pipeline_dirs, tmp_path, caps
     # no sweep, or a negative halving budget, would skip registration and exit 0
     sim, _, _ = pipeline_dirs
     cfg = tmp_path / "search.cfg"
+    cfg.write_text(line + "\n")
+    inputs = {
+        "reconstruct": ["--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz")],
+        "register": ["--slab", str(sim / "slab_01.nii.gz"), "--slab-index", "1"],
+    }[command]
+    code = main([command, *inputs, "--lr", str(sim / "lr.nii.gz"),
+                 "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "register"])
+@pytest.mark.parametrize("line", [f"bins = {MAX_BINS + 1}", "pyramid = [4, 2.5]"])
+def test_registration_config_past_its_bounds_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                            command, line):
+    # one bin over the bound: at 100,000 bins np.bincount asked for 74.5 GiB;
+    # a stride of 2.5 ran as stride 2 while report.json said 2.5
+    sim, _, _ = pipeline_dirs
+    cfg = tmp_path / "bounds.cfg"
     cfg.write_text(line + "\n")
     inputs = {
         "reconstruct": ["--slabs", str(sim / "slab_00.nii.gz"), str(sim / "slab_01.nii.gz")],

@@ -31,6 +31,7 @@ from slabrecon import (
 )
 from slabrecon.geometry import index_map
 from slabrecon.registration import (
+    MAX_BINS,
     RegistrationResult,
     _accumulate,
     _compass_search,
@@ -546,3 +547,17 @@ _ODD_VOXEL_MASK = Volume(_GRID, np.pad(np.ones((1, 1, 1)), ((1, 4), (0, 3), (1, 
 def test_registration_raises_its_typed_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+def test_bins_and_pyramid_strides_are_bounded():
+    image = bin_exact_volume(seed=5, dims=(6, 5, 6))
+    assert RegistrationConfig(bins=MAX_BINS).bins == MAX_BINS
+    assert RegistrationConfig(pyramid=(4, 2.0)).pyramid == (4, 2)   # a whole float may stay
+    with pytest.raises(InvalidInput, match=f"at most {MAX_BINS}"):
+        RegistrationConfig(bins=MAX_BINS + 1)
+    with pytest.raises(InvalidInput, match=f"at most {MAX_BINS}"):
+        joint_histogram(image, image, full_mask(image), RigidTransform.identity(),
+                        bins=MAX_BINS + 1)
+    for pyramid in ((4, 2.5), (1.5,), (2, float("nan"))):
+        with pytest.raises(InvalidInput, match="pyramid strides must be whole numbers"):
+            RegistrationConfig(pyramid=pyramid)

@@ -1,6 +1,7 @@
-"""The NumPy ports of scipy's rotation conversions and cubic prefilter give
-scipy's bits. The bits were taken from scipy 1.17.1; the ports copy the
-arithmetic of its Cython ``Rotation`` and of ndimage's ``ni_splines.c``."""
+"""The NumPy ports of scipy's rotation conversions, cubic prefilter and 3D cubic
+spline read give scipy's bits. The bits were taken from scipy 1.17.1; the ports
+copy the arithmetic of its Cython ``Rotation`` and of ndimage's ``ni_splines.c``
+and ``ni_interpolation.c``."""
 
 import os
 import subprocess
@@ -15,10 +16,13 @@ from scipy import ndimage
 from scipy.spatial.transform import Rotation
 
 import slabrecon
-from slabrecon import AffineGeometry, RigidTransform, compose, invert, transform_deviation
-from slabrecon.geometry import _euler_matrix, matrix_quat, normalized_quat, quat_matrix
+from test_volume import _mirror_points
+
+from slabrecon import (AffineGeometry, InterpolationMethod, RigidTransform, Volume, compose,
+                       invert, resample, transform_deviation)
+from slabrecon.geometry import _euler_matrix, index_map, matrix_quat, normalized_quat, quat_matrix
 from slabrecon.nifti import _quaternion_fields
-from slabrecon.volume import _prefilter
+from slabrecon.volume import _cubic, _mirror_fold, _prefilter, _spline_filter, in_field
 
 
 # the rotation ports copy scipy 1.17's Cython Rotation; older releases may round otherwise
@@ -152,6 +156,57 @@ def test_prefilter_is_spline_filter1d_bit_for_bit(n):
         assert same_bits(got, np.moveaxis(want, axis, 0))
 
 
+def signed_zero_volumes(dims, rng):
+    """Random data with its first x planes -0.0, and a volume that is -0.0 everywhere:
+    its reads sum -0.0 terms, which ndimage adds to +0.0."""
+    data = rng.normal(size=dims) * 10.0 ** rng.uniform(-3, 3)
+    data[:max(dims[0] // 3, 1)] = -0.0
+    return data, np.full(dims, -0.0)
+
+
+@pytest.mark.parametrize("dims", [(9, 5, 7), (6, 1, 4), (2, 3, 1), (1, 2, 2)])
+def test_spline_filter_is_ndimage_bit_for_bit(dims):
+    for data in signed_zero_volumes(dims, np.random.default_rng(sum(dims))):
+        want = ndimage.spline_filter(data, order=3, mode="mirror")
+        got = _spline_filter(data)
+        assert got.flags.c_contiguous and same_bits(got, want)
+
+
+@pytest.mark.parametrize("dims", [(9, 5, 7), (6, 1, 4), (2, 3, 1), (1, 1, 1)])
+def test_cubic_read_is_map_coordinates_mirror_bit_for_bit(dims):
+    # in the field, both outer half-voxel bands, the hull corners, and -3n to 4n per axis;
+    # on (1, 1, 1) every term of a -0.0 volume is -0.0, so only a sum from +0.0 gives +0.0
+    rng = np.random.default_rng(sum(dims) + 1)
+    inside, far = _mirror_points(dims, rng)
+    assert in_field(inside, dims).all() and not in_field(far, dims).all()
+    for data in signed_zero_volumes(dims, rng):
+        coeffs = _spline_filter(data)
+        for idx in (inside, far):
+            got = _cubic(coeffs, _mirror_fold(idx.copy(), dims))
+            assert same_bits(got, ndimage.map_coordinates(data, idx, order=3, mode="mirror"))
+
+
+@pytest.mark.parametrize("extend", [False, True])
+@pytest.mark.parametrize("dims", [(9, 5, 7), (6, 1, 4)])
+def test_rotated_cubic_resample_is_map_coordinates_mirror_bit_for_bit(dims, extend):
+    # a rotated target reaching several grid lengths past the hull
+    rng = np.random.default_rng(8)
+    source = AffineGeometry(dims, (1.0, 1.0, 1.0))
+    vols = [Volume(source, data) for data in signed_zero_volumes(dims, rng)]
+    target = AffineGeometry((40, 30, 36), (1.6, 1.3, 1.7), origin=(-30.0, -18.0, -28.0))
+    turn = RigidTransform(rotation=(0.3, -0.2, 0.25), center=tuple(source.world_center()))
+    m = index_map(target, turn, source)
+    idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
+    inside = in_field(idx, dims)
+    assert inside.any() and not inside.all()
+    outs = resample(vols, target, turn, InterpolationMethod.CubicBSpline, extend)
+    for vol, out in zip(vols, outs, strict=True):
+        want = ndimage.map_coordinates(vol.data, idx, order=3, mode="mirror")
+        if not extend:
+            want[~inside] = 0.0
+        assert same_bits(out.data.ravel(), want)
+
+
 def test_importing_the_package_loads_no_scipy():
     src = str(Path(slabrecon.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -161,3 +216,16 @@ def test_importing_the_package_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_simulating_a_rotated_slab_loads_no_scipy(tmp_path):
+    # the default scenario turns slab 1 by 1.5 degrees: the 3D cubic read runs
+    src = str(Path(slabrecon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    code = ("import sys, slabrecon.cli; "
+            f"assert slabrecon.cli.main(['simulate', '--out', {str(tmp_path / 'sim')!r}]) == 0; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -14,6 +14,7 @@ from slabrecon import (
     prepare_reference,
     resample,
 )
+from slabrecon import volume as volume_module
 from slabrecon.geometry import index_map
 from slabrecon.volume import _mirror_fold, _trilinear, in_field, padded_flat
 
@@ -232,7 +233,23 @@ def test_cubic_resample_without_rotation_skips_the_3d_spline(monkeypatch):
     shift = RigidTransform(translation=(0.1, 0.6, -0.2))
     resample([vol], vol.geometry, shift, InterpolationMethod.CubicBSpline, extend=True)
     turn = RigidTransform(rotation=(0.02, 0.0, 0.0), center=tuple(vol.geometry.world_center()))
-    with pytest.raises(AssertionError, match="3D map_coordinates"):
+    # a rotation runs the 3D spline as a NumPy port: no map_coordinates either
+    [out] = resample([vol], vol.geometry, turn, InterpolationMethod.CubicBSpline)
+    assert out.dims == vol.dims
+
+
+def test_cubic_resample_without_rotation_skips_the_3d_port(monkeypatch):
+    vol = random_volume(seed=4)
+
+    def no_3d_spline(*args):
+        raise AssertionError("3D spline read called")
+
+    monkeypatch.setattr(volume_module, "_cubic", no_3d_spline)
+    assert prepare_reference(vol, (0.15, 0.15)).dims == (18, 7, 16)
+    shift = RigidTransform(translation=(0.1, 0.6, -0.2))
+    resample([vol], vol.geometry, shift, InterpolationMethod.CubicBSpline, extend=True)
+    turn = RigidTransform(rotation=(0.02, 0.0, 0.0), center=tuple(vol.geometry.world_center()))
+    with pytest.raises(AssertionError, match="3D spline read"):
         resample([vol], vol.geometry, turn, InterpolationMethod.CubicBSpline)
 
 
