@@ -1,7 +1,8 @@
 """Command-line interface: simulate, reconstruct, register, qc.
 
 Exit codes: 0 success, 2 usage/config error, 3 registration failure,
-4 data error. A bad flag, config file or layout file, an ``--out``
+4 data error. A bad flag, config file or layout file, a pyramid stride too
+coarse for the slab grid read (``registration.check_strides``), an ``--out``
 directory that cannot be created and an output file that cannot be written
 exit 2. An input NIfTI volume or ROI sidecar that cannot be read or parsed
 (missing, a directory, a truncated or corrupt ``.gz``), an unknown preset
@@ -33,7 +34,7 @@ from .layout import InterleavedLayout, pad_slab, prepare_reference
 from .nifti import read_volume, write_volume
 from .phantom import generate_phantom
 from .qc import compute_qc, load_rois, save_rois, shift_index
-from .registration import register_rigid
+from .registration import check_strides, register_rigid
 from .reports import run_report, write_json
 from .simulate import simulate_acquisition
 
@@ -48,6 +49,15 @@ def _make_out(path):
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create --out directory {path}: {exc.strerror or exc}") from exc
+
+
+def _check_strides(config, slabs):
+    """The pyramid against each slab's in-plane grid (``check_strides``): a usage error."""
+    try:
+        for slab in slabs:
+            check_strides(config.pyramid, slab.dims)
+    except InvalidInput as exc:
+        raise ConfigError(f"configuration: pyramid: {exc}") from None
 
 
 def _load_config(args):
@@ -103,6 +113,7 @@ def cmd_reconstruct(args) -> int:
     config, layout, _, _ = _load_config(args)
     slabs = [read_volume(p) for p in args.slabs]
     lr = read_volume(args.lr)
+    _check_strides(config, slabs)
 
     _make_out(args.out)
     report_path = os.path.join(args.out, "report.json")
@@ -149,6 +160,7 @@ def cmd_register(args) -> int:
     lr = read_volume(args.lr)
     padded = pad_slab(slab, layout, args.slab_index)
     reference = prepare_reference(lr, (slab.geometry.spacing[0], slab.geometry.spacing[2]))
+    _check_strides(config, [slab])
 
     _make_out(args.out)
     result = register_rigid(padded, reference, config.registration_config())

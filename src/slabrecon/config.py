@@ -16,12 +16,11 @@ from .errors import ConfigError, InvalidInput
 from .fusion import DEFAULT_EPSILON
 from .geometry import RigidTransform
 from .layout import resolve_layout
-from .nifti import MAX_DIM
 from .phantom import DEFAULT_INPLANE_FOV_MM, PhantomSpec, phantom_geometry
 from .qc import DEFAULT_FOREGROUND_FRACTION, DEFAULT_SHIFT_THRESHOLD
 from .registration import RegistrationConfig
 from .reports import JSON_NUMBER, parse_json, read_text
-from .simulate import LR_INPLANE_FACTOR, MotionScenario, lr_geometry
+from .simulate import LR_INPLANE_FACTOR, MAX_NOISE_SIGMA_PCT, MotionScenario, lr_geometry
 
 _PHANTOM_SIZES = ("length_mm", "height_mm", "body_width_mm", "head_width_mm")
 _DEFAULT_MOTION = [1.5, 0.0, 0.0, 0.0, 0.0, 0.6]   # slab 1's row when scenario is None
@@ -148,9 +147,10 @@ def resolve_config(file_values: dict | None = None, **overrides):
         raise ConfigError(f"configuration: {exc} ({keys})") from None
     for key, ok, bound in (
         ("seed", config.seed >= 0, ">= 0"),
-        ("fusion_epsilon", config.fusion_epsilon > 0, "> 0"),
+        ("fusion_epsilon", 0 < config.fusion_epsilon <= 1, "in (0, 1]"),
         ("foreground_fraction", config.foreground_fraction >= 0, ">= 0"),
-        ("noise_sigma_pct", config.noise_sigma_pct >= 0, ">= 0"),
+        ("noise_sigma_pct", 0 <= config.noise_sigma_pct <= MAX_NOISE_SIGMA_PCT,
+         f"in [0, {MAX_NOISE_SIGMA_PCT:g}]"),
         ("lr_inplane_factor", config.lr_inplane_factor >= 1, ">= 1"),
     ):
         if not ok:
@@ -162,10 +162,6 @@ def resolve_config(file_values: dict | None = None, **overrides):
         geometry = phantom_geometry(layout.final_slices, voxel, tuple(config.phantom_fov_mm))
     except InvalidInput as exc:
         raise ConfigError(f"configuration: phantom_fov_mm on {config.layout!r}: {exc}") from None
-    if max(geometry.dims) > MAX_DIM:   # simulate writes truth.nii.gz on this grid
-        raise ConfigError(f"configuration: phantom_fov_mm {config.phantom_fov_mm} on "
-                          f"{config.layout!r} gives a grid over {MAX_DIM} voxels on an axis, "
-                          "the NIfTI-1 limit")
     try:
         lr_geometry(geometry, config.lr_inplane_factor)
     except InvalidInput as exc:

@@ -66,8 +66,8 @@ def fuse(signals: list[Volume], masks: list[Volume],
     """
     if len(signals) == 0 or len(signals) != len(masks):
         raise InvalidInput("need the same non-zero number of signals and masks")
-    if epsilon <= 0:
-        raise InvalidInput("epsilon must be > 0")
+    if not 0 < epsilon <= 1:   # a mask sum adds weights in [0, 1]: above 1, most is uncovered
+        raise InvalidInput(f"epsilon must be in (0, 1], got {epsilon}")
     geom = signals[0].geometry
     for vol in list(signals[1:]) + list(masks):
         if not vol.geometry.same_grid(geom, tol=1e-6):
@@ -175,6 +175,7 @@ def reconstruct(slabs: list[Volume], layout: SlabLayout, lr: Volume,
     padded = [pad_slab(slab, layout, j) for j, slab in enumerate(slabs)]
     results, signals, masks = zip(*_register_slabs(padded, reference, reg_config,
                                                    padded[0].signal.geometry))
+    del padded, reference   # fuse needs neither
     fusion = fuse(list(signals), list(masks), epsilon)
     if fusion.uncovered_fraction > UNCOVERED_WARN_FRACTION:
         warnings.warn(

@@ -22,16 +22,22 @@ band-limiting of a real acquisition belongs to the acquisition model in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput
 from .geometry import AffineGeometry
+from .nifti import MAX_DIM
 from .qc import EllipsoidROI
 from .volume import Volume
 
 DEFAULT_INPLANE_FOV_MM = (26.4, 19.2)
+# the most phantom voxels, 2^24: 128 MiB per float64 copy, 32x the largest preset grid.
+# A simulate run peaks at 5-8 full-grid copies (NS and nested4 presets), so about 1 GiB
+# at the budget; [3000, 3000] mm asked for 4.6e9 voxels, 34 GiB per copy.
+MAX_PHANTOM_VOXELS = 2**24
 
 
 @dataclass(frozen=True)
@@ -132,14 +138,21 @@ def phantom_geometry(final_slices: int,
                      spacing=(0.3, 1.2, 0.3),
                      inplane_fov_mm=DEFAULT_INPLANE_FOV_MM) -> AffineGeometry:
     """Default axis-aligned grid: the stack covers the full structure length,
-    with round(fov / spacing) columns along x and z."""
+    with round(fov / spacing) columns along x and z. ``InvalidInput`` for a grid
+    with no finite column count, over ``MAX_DIM`` voxels on an axis (``simulate``
+    writes it as NIfTI-1) or over ``MAX_PHANTOM_VOXELS`` voxels."""
     sx, sy, sz = spacing
     columns = (inplane_fov_mm[0] / sx, inplane_fov_mm[1] / sz)
     if not all(map(np.isfinite, columns)):
         raise InvalidInput(f"in-plane FOV {list(inplane_fov_mm)} mm has no finite column "
                            f"count at {sx} x {sz} mm")
-    nx, nz = (int(round(c)) for c in columns)
-    return AffineGeometry((nx, int(final_slices), nz), (sx, sy, sz))
+    dims = (int(round(columns[0])), int(final_slices), int(round(columns[1])))
+    grid = f"in-plane FOV {list(inplane_fov_mm)} mm gives a {' x '.join(map(str, dims))} grid"
+    if max(dims) > MAX_DIM:   # simulate writes truth.nii.gz on this grid
+        raise InvalidInput(f"{grid}, over {MAX_DIM} voxels on an axis, the NIfTI-1 limit")
+    if math.prod(dims) > MAX_PHANTOM_VOXELS:
+        raise InvalidInput(f"{grid}, over {MAX_PHANTOM_VOXELS} voxels")
+    return AffineGeometry(dims, (sx, sy, sz))
 
 
 def canonical_rois(spec: PhantomSpec, geometry: AffineGeometry) -> dict:

@@ -46,6 +46,11 @@ _SAMPLES_PER_BIN = 16
 # 100,000 bins would ask np.bincount for 74.5 GiB of counts
 MAX_BINS = 256
 
+# the fewest columns a pyramid level samples along x and along z: the search scales its
+# steps by the stride, and a stride past the grid sampled only x = z = 0 and turned the
+# slab tens of degrees
+_MIN_COLUMNS = 4
+
 # Compass-search steps at stride 1; coarser levels scale them by the stride.
 _ROTATION_STEP_DEG = 0.5            # the accuracy bound; halving refines below it
 _TRANSLATION_STEP_VOXELS = 0.5      # of the in-plane voxel: sub-voxel from the start
@@ -140,6 +145,16 @@ def joint_histogram(moving: Volume, fixed: Volume, mask: Volume,
 def _check_bins(bins: int) -> None:
     if not 8 <= bins <= MAX_BINS:
         raise InvalidInput(f"need at least 8 bins and at most {MAX_BINS}, got {bins}")
+
+
+def check_strides(pyramid, dims) -> None:
+    """Each level samples at least ``_MIN_COLUMNS`` columns along x and along z of a
+    slab grid ``dims``: every stride is at most ``min(nx, nz) // _MIN_COLUMNS``."""
+    largest = min(dims[0], dims[2]) // _MIN_COLUMNS
+    if max(pyramid) > largest:
+        raise InvalidInput(f"pyramid stride {max(pyramid)} is over {largest}, the largest "
+                           f"that samples {_MIN_COLUMNS} columns along x and z of the "
+                           f"{dims[0]} x {dims[2]} in-plane grid")
 
 
 @dataclass(frozen=True)
@@ -320,7 +335,12 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
 
     Starts at identity (between-scan motion is small), maximizes masked NMI
     with trilinear sampling during the search; reslicing happens separately
-    (see apply_result).
+    (see apply_result). ``InvalidInput`` for a pyramid stride that samples
+    fewer than 4 columns along x or z (``check_strides``). During the search
+    it holds the edge-padded reference and, per pyramid level, the level's
+    samples (24 B of index and 8 B of moving bin each, at most 16 per
+    histogram bin); the full set of masked voxels is dropped once the levels,
+    the centroid and the count are taken.
     """
     start = time.perf_counter()
     config = config or RegistrationConfig()
@@ -329,11 +349,14 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
         levels = [samples.at_stride(stride) for stride in config.pyramid]
     except EmptyOverlap as exc:
         raise RegistrationFailed(str(exc)) from exc
+    check_strides(config.pyramid, padded.signal.dims)
     # Rotations pivot about the masked-region centroid: for one-sided slabs
     # (contiguous blocks) a volume-centred pivot makes rotation steps act
     # like translations over the mask and the coordinate search stalls.
     geometry = padded.signal.geometry
     center = tuple(geometry.index_to_world(samples.index.mean(axis=1))[0])
+    masked_voxels = samples.n_samples
+    del samples   # the search holds the levels alone, not 32 B per masked voxel
 
     trans_step = _TRANSLATION_STEP_VOXELS * geometry.spacing[0]
     rot_step = np.radians(_ROTATION_STEP_DEG)
@@ -356,7 +379,7 @@ def register_rigid(padded: PaddedSlab, reference: Volume,
         transform=_params_to_transform(params, center),
         final_nmi=float(final_value),
         trace=tuple(trace),
-        masked_voxels=samples.n_samples,
+        masked_voxels=masked_voxels,
         evaluations=tuple(evaluations),
         samples=tuple(level.n_samples for level in levels),
         seconds=time.perf_counter() - start,

@@ -28,6 +28,9 @@ REALISTIC_MAX_TRANSLATION_MM = 3.0
 
 _COMPONENT_TOL = 1e-9
 LR_INPLANE_FACTOR = 2.0   # LR voxel along the in-plane z axis, in HR voxels
+# the most Rician noise, in % of the peak signal: a sigma as large as the peak already
+# buries every structure, and at 1e300 % the noisy values overflowed to inf
+MAX_NOISE_SIGMA_PCT = 100.0
 
 
 def classify_motion(transform: RigidTransform) -> list[str]:
@@ -45,8 +48,9 @@ class MotionScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "transforms", tuple(self.transforms))
-        if self.noise_sigma_pct < 0:
-            raise InvalidInput("noise sigma must be >= 0")
+        if not 0 <= self.noise_sigma_pct <= MAX_NOISE_SIGMA_PCT:
+            raise InvalidInput(f"noise sigma must be >= 0 and at most {MAX_NOISE_SIGMA_PCT:g}% "
+                               f"of the peak signal, got {self.noise_sigma_pct}")
 
     @property
     def num_slabs(self) -> int:

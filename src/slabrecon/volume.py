@@ -6,7 +6,12 @@ every voxel of a target grid to fractional source indices with one
 index→index affine map and interpolates there. The interpolation support
 is the voxel footprint hull ``[-0.5, n - 0.5]`` per axis: voxel centres
 are always in-field, and target voxels beyond the hull are 0, or the
-mirror continuation of the volume with ``extend``.
+mirror continuation of the volume with ``extend``. It maps, folds and reads
+the target in blocks of whole x-planes, about ``_READ_CHUNK`` voxels each,
+straight into the output arrays: beyond its 8 B per target voxel and volume,
+a resample holds one padded copy (trilinear) or the spline coefficients
+(cubic) of each source volume and about 2 MB of block buffers, never an
+index map of the whole target.
 
 A cubic B-spline is a tensor product of 1D splines, so when the map has
 exact zeros off its 3x3 diagonal (a change of spacing and/or a pure
@@ -86,33 +91,39 @@ def in_field(idx: np.ndarray, dims) -> np.ndarray:
 
 
 def padded_flat(data, mode: str) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A volume or a stack (V, nx, ny, nz) padded by one voxel per side (``np.pad``
-    ``mode``), flattened per volume, and the flat offsets of a cell's 8 corners."""
-    padded = np.pad(data, [(0, 0)] * (data.ndim - 3) + [(1, 1)] * 3, mode=mode)
+    """A volume, or a list (V) of volumes that share dims, padded by one voxel per side
+    (``np.pad`` ``mode``) and flattened per volume, and the flat offsets of a cell's 8
+    corners. A list fills one (V, padded voxels) array a volume at a time: no stacked copy."""
+    images = data if isinstance(data, list) else [data]
+    padded = np.empty((len(images),) + tuple(n + 2 for n in images[0].shape))
+    for image, out in zip(images, padded):
+        out[...] = np.pad(image, 1, mode=mode)
     sx, sy = padded.shape[-2] * padded.shape[-1], padded.shape[-1]
     corners = tuple(cx * sx + cy * sy + cz for cx in (0, 1) for cy in (0, 1) for cz in (0, 1))
-    return padded.reshape(*data.shape[:-3], -1), corners
+    flat = padded.reshape(len(images), -1)
+    return (flat if isinstance(data, list) else flat[0]), corners
 
 
-def _trilinear(flat, corners, idx) -> np.ndarray:
+def _trilinear(flat, corners, idx, out=None) -> np.ndarray:
     """Trilinear read at indices ``idx`` (3, N) of a ``padded_flat`` image, or of a
-    stack with one set of weights, in cache-sized chunks. With ``-1 <= floor(idx)
+    stack with one set of weights, in cache-sized chunks, into ``out`` (images, N)
+    when it is given. With ``-1 <= floor(idx)
     <= n - 1`` per axis the 8 corners lie inside the padded image: no bounds
     check. The arithmetic is ``ndimage.map_coordinates(order=1)``'s, in its order:
     weights ``1 - frac`` and ``1 - (1 - frac)``, corner terms ``((v * wx) * wy) *
     wz`` summed in corner order. The bits are ndimage's but for a sum of -0.0s.
     """
     rows = flat.reshape(-1, flat.shape[-1])   # one contiguous row per image
-    out = np.empty((rows.shape[0], idx.shape[1]))
+    out = np.empty((rows.shape[0], idx.shape[1])) if out is None else out
     sx, sy = corners[4], corners[2]   # the padded strides of x and y; z's is 1
     buffer = np.empty(min(_READ_CHUNK, idx.shape[1]))   # reused by every chunk
     for start in range(0, idx.shape[1], _READ_CHUNK):
         part = idx[:, start:start + _READ_CHUNK]
         low = np.floor(part)
-        w0 = 1.0 - (part - low)
-        weights = (w0, 1.0 - w0)
         # exact in floating point: small whole numbers; + 1 voxel of padding per axis
         base = (low[0] * sx + low[1] * sy + low[2] + (sx + sy + 1)).astype(np.intp)
+        w0 = np.subtract(1.0, np.subtract(part, low, out=low), out=low)   # in low's buffer
+        weights = (w0, 1.0 - w0)
         term = buffer[:base.size]
         for row, acc in zip(rows, out[:, start:start + _READ_CHUNK]):
             for k, offset in enumerate(corners):   # one view of the image per corner
@@ -179,22 +190,24 @@ def _cubic(coeffs, idx) -> np.ndarray:
     floor(x) + 2`` are folded too and weighted as ``ni_splines.c`` weights them; the
     64 terms ``((c * wx) * wy) * wz`` are summed from +0.0, z fastest."""
     flat, dims = coeffs.ravel(), coeffs.shape
-    strides = np.array([dims[1] * dims[2], dims[2], 1.0])[:, None, None]
+    strides = np.array([dims[1] * dims[2], dims[2], 1.0])[:, None]
     out = np.zeros(idx.shape[1])
-    chunk = min(_READ_CHUNK, idx.shape[1])
-    pair, index, term = np.empty(chunk, np.intp), np.empty(chunk, np.intp), np.empty(chunk)
-    for start in range(0, idx.shape[1], _READ_CHUNK):
-        part = idx[:, start:start + _READ_CHUNK]
+    step = _READ_CHUNK // 4   # 12 weights, 12 offsets a sample: the trilinear pass's scratch
+    pair, index, term = np.empty(step, np.intp), np.empty(step, np.intp), np.empty(step)
+    for start in range(0, idx.shape[1], step):
+        part = idx[:, start:start + step]
         low = np.floor(part)
         t = part - low
         u = 1.0 - t
-        w = [u * u * u / 6.0, (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0,
-             (u * u * (u - 2.0) * 3.0 + 4.0) / 6.0]
-        w = np.stack(w + [1.0 - w[0] - w[1] - w[2]], axis=1)   # (3 axes, 4 taps, n)
-        taps = low[:, None] + np.arange(-1.0, 3.0)[:, None]
-        offsets = _mirror_fold(taps.reshape(3, -1), dims).reshape(taps.shape) * strides
-        offsets = offsets.astype(np.intp)   # exact: small whole numbers
-        n, acc = part.shape[1], out[start:start + _READ_CHUNK]
+        w = np.empty((3, 4, part.shape[1]))   # (3 axes, 4 taps, n), filled in place
+        w[:, 0] = u * u * u / 6.0
+        w[:, 1] = (t * t * (t - 2.0) * 3.0 + 4.0) / 6.0
+        w[:, 2] = (u * u * (u - 2.0) * 3.0 + 4.0) / 6.0
+        w[:, 3] = 1.0 - w[:, 0] - w[:, 1] - w[:, 2]
+        taps = _mirror_fold((low[:, None] + np.arange(-1.0, 3.0)[:, None]).reshape(3, -1), dims)
+        taps *= strides
+        offsets = taps.astype(np.intp).reshape(w.shape)   # exact: small whole numbers
+        n, acc = part.shape[1], out[start:start + step]
         pair, index, term = pair[:n], index[:n], term[:n]   # only the last chunk is shorter
         for i in range(4):
             for j in range(4):
@@ -239,10 +252,14 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     """Pull-style resampling of volumes that share one grid onto ``target``:
     output voxel v takes volume(transform(world(v))).
 
-    The target grid is mapped once for all volumes. Out-of-field voxels are
-    0, or the mirror continuation of the volume when ``extend`` is set.
-    A cubic resample by a diagonal index map runs one axis at a time (see the
-    module docstring): the same spline, rounded differently, to ~1e-13 of range.
+    The target grid is mapped once for all volumes, a block of whole x-planes
+    at a time. Out-of-field voxels are 0, or the mirror continuation of the
+    volume when ``extend`` is set. Memory: the outputs, 8 B per target voxel
+    and volume, written in place; a padded copy (trilinear) or the spline
+    coefficients (cubic) of each source volume; and block buffers of about 90 B
+    (trilinear) or 140 B (cubic) per voxel of one block. A cubic resample by a
+    diagonal index map runs one axis at a time (see the module docstring): the
+    same spline, rounded differently, to ~1e-13 of range.
     """
     if any(d < 1 for d in target.dims):
         raise InvalidInput("degenerate target geometry")
@@ -256,18 +273,24 @@ def resample(volumes, target: AffineGeometry, transform: RigidTransform,
     cubic = method is InterpolationMethod.CubicBSpline
     if cubic and not m[:, :3][~np.eye(3, dtype=bool)].any():
         return [Volume(target, _resample_axes(v.data, m, target.dims, extend)) for v in volumes]
-    idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
-    keep = slice(None)
-    if not extend:   # by index: a boolean mask over (3, N) takes 5x longer
-        keep = np.flatnonzero(in_field(idx, source.dims))
-        idx = idx.take(keep, axis=1)
-    # mirror: at index -0.5 a trilinear read gives (d[0] + d[1]) / 2 ("nearest" gives d[0])
-    idx = _mirror_fold(idx, source.dims)
     if cubic:   # a rotation: the 3D spline, ndimage's bits in NumPy
-        reads = [_cubic(_spline_filter(v.data), idx) for v in volumes]
-    else:   # one read of the stack: the volumes share its weights
-        reads = _trilinear(*padded_flat(np.stack([v.data for v in volumes]), "reflect"), idx)
-    values = np.zeros((len(volumes), target.n_voxels))
-    for row, read in zip(values, reads):
-        row[keep] = read + 0.0   # a sum of -0.0 terms is +0.0 in ndimage
+        coeffs = [_spline_filter(v.data) for v in volumes]
+    else:   # one read of the padded volumes: they share its weights
+        flat, corners = padded_flat([v.data for v in volumes], "reflect")
+    nx, ny, nz = target.dims
+    values = np.empty((len(volumes), nx, ny * nz))
+    planes = max(_READ_CHUNK // (ny * nz), 1)   # blocks of whole x-planes
+    for x0 in range(0, nx, planes):
+        block = values[:, x0:x0 + planes].reshape(len(volumes), -1)   # a view of each output
+        idx = m[:, :3] @ np.mgrid[x0:min(x0 + planes, nx), :ny, :nz].reshape(3, -1) + m[:, 3:]
+        outside = ~in_field(idx, source.dims)
+        # mirror: at index -0.5 a trilinear read gives (d[0] + d[1]) / 2 ("nearest" gives d[0])
+        idx = _mirror_fold(idx, source.dims)
+        if cubic:
+            block[:] = [_cubic(c, idx) for c in coeffs]
+        else:
+            _trilinear(flat, corners, idx, out=block)
+        block += 0.0   # a sum of -0.0 terms is +0.0 in ndimage
+        if not extend:
+            block[:, outside] = 0.0
     return [Volume(target, row.reshape(target.dims)) for row in values]

@@ -766,3 +766,47 @@ def test_phantom_grid_over_the_nifti_dim_limit_is_usage_error(tmp_path, capsys, 
     assert code == 2
     assert "phantom_fov_mm" in err and "32767" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "register"])
+def test_pyramid_stride_past_the_slab_grid_is_usage_error(pipeline_dirs, tmp_path, capsys,
+                                                          command):
+    # on the 88 x 64 slab a stride of 100 sampled x = z = 0 only: register exited 0 with a
+    # rotation tens of degrees off; 16 is the largest stride that samples 4 columns
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "pyramid.cfg"
+    cfg.write_text("pyramid = [100]\n")
+    code = main([command, *_inputs(command, sim, rec), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "pyramid" in err and "over 16" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+@pytest.mark.parametrize("line", ["noise_sigma_pct = 1e300", "noise_sigma_pct = 100.5",
+                                  "fusion_epsilon = 2", "fusion_epsilon = 1.0001"])
+def test_noise_and_fusion_epsilon_past_their_bounds_are_usage_errors(pipeline_dirs, tmp_path,
+                                                                     capsys, command, line):
+    # 1e300 % noise exited 4 on non-finite values; an epsilon over 1, more than a mask
+    # sum adds where one slab covers a voxel, exited 0 with every voxel uncovered
+    sim, rec, _ = pipeline_dirs
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(line + "\n")
+    code = main([command, *_inputs(command, sim, rec), "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_phantom_over_the_voxel_budget_is_usage_error(tmp_path, capsys):
+    # [3000, 3000] mm asked generate_phantom for 34 GiB; now nothing is allocated
+    cfg = tmp_path / "budget.cfg"
+    cfg.write_text("phantom_fov_mm = [3000.0, 3000.0]\n")
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "phantom_fov_mm" in err and "over 16777216 voxels" in err
+    assert not (tmp_path / "out").exists()

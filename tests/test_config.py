@@ -16,7 +16,7 @@ from slabrecon import (
     simulate_acquisition,
 )
 from slabrecon.cli import main
-from slabrecon.config import PipelineConfig
+from slabrecon.config import PipelineConfig, resolve_config
 
 
 def test_registration_config_passes_every_field_through():
@@ -65,3 +65,8 @@ def test_config_line_without_an_equals_sign_is_usage_error(tmp_path, capsys, tex
     assert code == 2
     assert f"{cfg}:{lineno}: expected 'key = value'" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_noise_and_fusion_epsilon_take_their_bounds():
+    config, _, _ = resolve_config({"noise_sigma_pct": 100.0, "fusion_epsilon": 1.0})
+    assert (config.noise_sigma_pct, config.fusion_epsilon) == (100.0, 1.0)

@@ -168,3 +168,13 @@ def test_fused_sums_are_the_sorted_sums_bit_for_bit(k):
         assert np.array_equal(out.mask_sum.data.view(np.int64), mask_sum.view(np.int64))
         assert np.array_equal(out.fused.data.view(np.int64), fused.view(np.int64))
         assert np.array_equal(out.coverage_map.data, covered.astype(float))
+
+
+@pytest.mark.parametrize("epsilon", [1.0001, 2.0])
+def test_epsilon_over_one_rejected(epsilon):
+    # a mask sum adds weights in [0, 1]: an epsilon of 2 left every voxel of two slabs uncovered
+    g = grid()
+    ones = np.ones(g.dims)
+    assert fuse([Volume(g, ones)], [Volume(g, ones)], epsilon=1.0).uncovered_fraction == 0.0
+    with pytest.raises(InvalidInput, match=r"epsilon must be in \(0, 1\]"):
+        fuse([Volume(g, ones)], [Volume(g, ones)], epsilon=epsilon)

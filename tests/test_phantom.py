@@ -12,7 +12,8 @@ from slabrecon import (
     relative_contrast,
     roi_stats,
 )
-from slabrecon.phantom import DEFAULT_INPLANE_FOV_MM, _texture
+from slabrecon.layout import PRESETS, resolve_layout
+from slabrecon.phantom import DEFAULT_INPLANE_FOV_MM, MAX_PHANTOM_VOXELS, _texture
 
 
 def test_generation_is_deterministic(standard_phantom):
@@ -279,3 +280,17 @@ def test_phantom_grid_with_no_finite_column_count_rejected():
     # 1.7e308 / 0.3 overflows to inf; int(round(inf)) would raise OverflowError
     with pytest.raises(InvalidInput, match="no finite column count"):
         phantom_geometry(80, (0.3, 1.2, 0.3), (1.7e308, 10.0))
+
+
+def test_phantom_grid_over_the_voxel_budget_rejected():
+    # [3000, 3000] mm gave a 10000 x 46 x 10000 grid, 34 GiB of float64; a grid is
+    # counted, never allocated, here
+    at_budget = phantom_geometry(1, (1.0, 1.0, 1.0), (4096.0, 4096.0))
+    assert at_budget.n_voxels == MAX_PHANTOM_VOXELS == 2**24
+    with pytest.raises(InvalidInput, match=f"over {MAX_PHANTOM_VOXELS} voxels"):
+        phantom_geometry(1, (1.0, 1.0, 1.0), (4097.0, 4096.0))
+    with pytest.raises(InvalidInput, match="10000 x 46 x 10000 grid"):
+        phantom_geometry(46, (0.3, 1.2, 0.3), (3000.0, 3000.0))
+    for name in PRESETS:   # every preset's default grid is within it
+        layout, voxel = resolve_layout(name)
+        assert phantom_geometry(layout.final_slices, voxel).n_voxels <= MAX_PHANTOM_VOXELS

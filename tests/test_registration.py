@@ -30,6 +30,7 @@ from slabrecon import (
     transform_deviation,
 )
 from slabrecon.geometry import index_map
+from slabrecon.layout import PRESETS, resolve_layout
 from slabrecon.registration import (
     MAX_BINS,
     RegistrationResult,
@@ -37,6 +38,7 @@ from slabrecon.registration import (
     _compass_search,
     _MaskedNmiObjective,
     _trilinear,
+    check_strides,
 )
 from slabrecon.volume import in_field
 
@@ -561,3 +563,21 @@ def test_bins_and_pyramid_strides_are_bounded():
     for pyramid in ((4, 2.5), (1.5,), (2, float("nan"))):
         with pytest.raises(InvalidInput, match="pyramid strides must be whole numbers"):
             RegistrationConfig(pyramid=pyramid)
+
+
+def test_pyramid_strides_keep_four_columns_along_x_and_z(motion_dataset, interleaved_layout):
+    check_strides((4, 2, 1), (16, 3, 17))   # 16 // 4: columns 0, 4, 8 and 12
+    with pytest.raises(InvalidInput, match="stride 5 is over 4"):
+        check_strides((5, 1), (16, 3, 40))
+    with pytest.raises(InvalidInput, match="stride 4 is over 3"):
+        check_strides((4, 2, 1), (40, 3, 15))
+    for name in PRESETS:   # every preset's slab grid takes the default pyramid
+        layout, voxel = resolve_layout(name)
+        check_strides(RegistrationConfig().pyramid, phantom_geometry(layout.final_slices,
+                                                                     voxel).dims)
+    # a stride of 100 on the 88 x 64 slab sampled x = z = 0 only, and exited 0 tens of
+    # degrees off
+    ds, reference, _ = motion_dataset
+    padded = pad_slab(ds.slabs[1], interleaved_layout, 1)
+    with pytest.raises(InvalidInput, match="pyramid stride 100 is over 16"):
+        register_rigid(padded, reference, RegistrationConfig(pyramid=(100,)))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -155,3 +156,26 @@ def test_objective_timing_times_every_stride_at_both_poses():
         assert int(samples) > 0 and float(median) > 0
         # identity keeps every sample in-field; the motion moves some out
         assert float(share) == 1.0 if pose == "identity" else 0.0 < float(share) < 1.0
+
+
+def test_ci_smoke_script_passes_through_a_console_script_shim(tmp_path):
+    # scripts/smoke.sh is the CI smoke step; here a `slabrecon` shim on PATH runs
+    # `python -m slabrecon.cli` on src/, and `python` is this interpreter. Only its
+    # one-CPU taskset diff may be skipped, and only where taskset is missing.
+    shims, work = tmp_path / "bin", tmp_path / "work"
+    shims.mkdir()
+    work.mkdir()
+    shim = shims / "slabrecon"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m slabrecon.cli "$@"\n')
+    shim.chmod(0o755)
+    (shims / "python").symlink_to(sys.executable)
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+               PATH=os.pathsep.join([str(shims), os.environ.get("PATH", "")]))
+    proc = subprocess.run(["bash", str(ROOT / "scripts" / "smoke.sh")], cwd=work, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "smoke: passed"
+    skipped = "smoke: skipped: the one-CPU taskset diff (taskset not found)" in lines
+    assert skipped == (shutil.which("taskset") is None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,3 +308,63 @@ def test_trilinear_resample_is_map_coordinates_mirror_bit_for_bit(dims, extend):
             if not extend:
                 want[~inside] = 0.0
             assert np.array_equal(out.data.ravel().view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("target_dims, origin", [
+    ((23, 7, 9), (-4.0, -2.0, -3.0)),   # 4 x-planes of 63 voxels a block: 6 blocks, the last of 3
+    ((5, 20, 20), (2.0, -3.0, -4.0)),   # planes of 400 voxels: one a block, read in two chunks
+], ids=["planes_per_block", "plane_over_block"])
+def test_resample_in_many_blocks_is_map_coordinates_mirror_bit_for_bit(monkeypatch, target_dims,
+                                                                      origin):
+    monkeypatch.setattr(volume_module, "_READ_CHUNK", 300)
+    rng = np.random.default_rng(11)
+    source = AffineGeometry((9, 5, 7), (1.0, 1.0, 1.0))
+    data = rng.normal(size=source.dims)
+    data[:2] = -0.0   # reads there sum -0.0 terms, which ndimage adds to +0.0
+    vols = [Volume(source, data), Volume(source, rng.uniform(0, 1, source.dims))]
+    target = AffineGeometry(target_dims, (0.9, 0.5, 0.8), origin=origin)
+    turn = RigidTransform(rotation=(0.3, -0.2, 0.25), center=tuple(source.world_center()))
+    m = index_map(target, turn, source)
+    idx = m[:, :3] @ np.indices(target.dims, dtype=float).reshape(3, -1) + m[:, 3:]
+    inside = in_field(idx, source.dims)
+    assert inside.any() and not inside.all()
+    for method in METHODS:
+        for extend in (False, True):
+            outs = resample(vols, target, turn, method, extend)
+            for vol, out in zip(vols, outs, strict=True):
+                want = ndimage.map_coordinates(vol.data, idx, order=method.value, mode="mirror")
+                if not extend:
+                    want[~inside] = 0.0
+                assert np.array_equal(out.data.ravel().view(np.int64), want.view(np.int64))
+
+
+def test_two_volume_trilinear_resample_peaks_under_two_and_a_half_outputs():
+    # the output and the padded copy of each volume, about 1.1 outputs, and blocks of
+    # about 16,384 voxels; a whole-grid map held 4.6 outputs at this size
+    grid = AffineGeometry((120, 20, 120), (0.3, 1.2, 0.3))
+    rng = np.random.default_rng(12)
+    vols = [Volume(grid, rng.normal(size=grid.dims)), Volume(grid, rng.uniform(0, 1, grid.dims))]
+    turn = RigidTransform(rotation=(0.02, -0.01, 0.015), translation=(0.1, -0.3, 0.2),
+                          center=tuple(grid.world_center()))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        outs = resample(vols, grid, turn, InterpolationMethod.Trilinear)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * sum(out.data.nbytes for out in outs)
+
+
+@pytest.mark.parametrize("mode", ["edge", "reflect"])
+def test_padded_flat_of_a_list_pads_each_volume_as_np_pad(mode):
+    rng = np.random.default_rng(13)
+    for dims in [(9, 5, 7), (6, 1, 4), (1, 1, 1)]:
+        images = [rng.normal(size=dims) for _ in range(3)]
+        flat, corners = padded_flat(images, mode)
+        single, single_corners = padded_flat(images[1], mode)
+        assert flat.shape == (3, single.size) and corners == single_corners
+        for row, image in zip(flat, images, strict=True):
+            assert np.array_equal(row, np.pad(image, 1, mode=mode).ravel())
+        assert np.array_equal(single, flat[1])
